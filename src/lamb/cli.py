@@ -51,10 +51,13 @@ def _build_cli() -> _ArgumentParser:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:  # reported like any other unreadable file
+        raise OSError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
 
 
 def _warn(message: str) -> None:

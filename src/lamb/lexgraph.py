@@ -10,11 +10,16 @@ through the following-relation is one possible tokenization of the input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import attrgetter
 
 from .scanner import ScanResult, Token
 
 __all__ = [
+    "AdjacencyIndex",
     "LexGraph",
     "build_graph",
     "enumerate_sequences",
@@ -24,6 +29,40 @@ __all__ = [
 ]
 
 
+class AdjacencyIndex:
+    """Token starts in ascending order plus a suffix minimum of token ends.
+
+    ``min_end_after(p)`` is the smallest end of any token starting at or
+    after offset ``p`` (infinite when none does).  Token ``b`` follows ``a``
+    exactly when ``a.end < b.start <= min_end_after(a.end + 1)``: every token
+    starting after ``a`` ends and ending before ``b`` starts would sit strictly
+    between them.  The index accepts tokens in any order.
+    """
+
+    __slots__ = ("starts", "_suffix_min_end")
+
+    def __init__(self, tokens: tuple[Token, ...]):
+        ordered = sorted(tokens, key=attrgetter("start"))
+        self.starts = [t.start for t in ordered]
+        ends = reversed([t.end for t in ordered])
+        self._suffix_min_end = list(accumulate(ends, min, initial=math.inf))[::-1]
+
+    def min_end_after(self, p: int) -> float:
+        return self._suffix_min_end[bisect_left(self.starts, p)]
+
+    def window(self, end: int) -> tuple[int, int]:
+        """Positions in ``starts`` of the tokens that may follow a symbol ending at ``end``."""
+        lo = bisect_right(self.starts, end)
+        return lo, bisect_right(self.starts, self._suffix_min_end[lo], lo)
+
+    def follows(self, end: int, start: int) -> bool:
+        return end < start <= self.min_end_after(end + 1)
+
+    def spans_all(self, start: int, end: int) -> bool:
+        """No token ends before ``start`` or starts after ``end``."""
+        return not self.starts or (start <= self._suffix_min_end[0] and end >= self.starts[-1])
+
+
 @dataclass(frozen=True)
 class LexGraph:
     tokens: tuple[Token, ...]
@@ -31,49 +70,40 @@ class LexGraph:
     following: tuple[tuple[int, ...], ...]  # indexed by token id, ids ascending
     preceding: tuple[tuple[int, ...], ...]
     start_set: tuple[int, ...]
+    # Built from ``tokens`` when not given; derived data, so not compared.
+    index: AdjacencyIndex = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.index is None:
+            object.__setattr__(self, "index", AdjacencyIndex(self.tokens))
 
 
 def build_graph(result: ScanResult) -> LexGraph:
-    """Compute following/preceding sets with a single reverse pass.
+    """Compute following/preceding sets from the adjacency index.
 
-    Tokens are visited in reverse list order, so for any given successor its
-    candidate predecessors arrive in descending start order.  The first one to
-    link necessarily carries the largest start among all tokens ending before
-    the successor; a later candidate is adjacent exactly when it ends at or
-    after that offset (otherwise the first-linked token sits strictly between
-    the two).  ``block_start`` caches that offset per successor.
+    Tokens are ordered by start, so the tokens that follow ``a`` form one
+    contiguous slice: those whose start lies in
+    ``(a.end, min_end_after(a.end + 1)]``.  Two bisections per token find it,
+    and ``preceding`` is the inverse of the slices, so the build costs
+    O(T log T + E) for T tokens and E edges.
     """
     toks = result.tokens
     n = len(toks)
     if any(toks[k].start > toks[k + 1].start for k in range(n - 1)):
         raise ValueError("tokens must be ordered by ascending start offset")
-    following: list[list[int]] = [[] for _ in range(n)]
+    index = AdjacencyIndex(toks)
+    following = tuple(tuple(range(*index.window(t.end))) for t in toks)
     preceding: list[list[int]] = [[] for _ in range(n)]
-    block_start: list[int | None] = [None] * n
-    for i in range(n - 1, -1, -1):
-        t = toks[i]
-        nearest_end: int | None = None  # min end among candidates that start after t
-        for j in range(i + 1, n):
-            tc = toks[j]
-            if tc.start <= t.end:
-                continue
-            if nearest_end is not None and tc.start > nearest_end:
-                break  # some already-seen token fits between t and everything from here on
-            blocked = block_start[j]
-            if blocked is None or blocked <= t.end:
-                following[i].append(j)
-                preceding[j].append(i)
-                if blocked is None:
-                    block_start[j] = t.start
-            nearest_end = tc.end if nearest_end is None else min(nearest_end, tc.end)
-    for p in preceding:
-        p.sort()
+    for i, successors in enumerate(following):
+        for j in successors:
+            preceding[j].append(i)
     return LexGraph(
         tokens=toks,
         input_length=result.input_length,
-        following=tuple(tuple(f) for f in following),
+        following=following,
         preceding=tuple(tuple(p) for p in preceding),
         start_set=tuple(i for i in range(n) if not preceding[i]),
+        index=index,
     )
 
 

@@ -8,6 +8,14 @@ them; on terminals this is exactly the graph's following-relation.  A parse
 is accepted when a start-symbol instance spans the whole tokenized input: no
 terminal ends before it starts or starts after it ends.
 
+Both tests are O(1) lookups in the graph's adjacency index (see
+`lexgraph.AdjacencyIndex`).  Candidates for the next position of a rule body
+come from an index keyed by symbol and start offset, limited to the offsets
+the index says may follow; a rule's first position walks only the instances
+of its first symbol.  The fixpoint's visiting order is unchanged: pass, rule,
+first instance by ascending id, then candidates by ascending id, so instance
+ids and every rendering stay the same as with exhaustive scans.
+
 This parser is deliberately simple and exhaustive rather than efficient; it
 keeps every distinct derivation as its own instance, so ambiguous inputs
 yield one accepted instance per reading.
@@ -53,9 +61,52 @@ class ParseForest:
 def extended_follows(a: SymbolInstance, b: SymbolInstance, g: LexGraph) -> bool:
     """True when ``b`` may directly continue ``a``: it starts after ``a`` ends
     and no terminal token sits strictly between the two."""
-    if b.start <= a.end:
-        return False
-    return not any(c.start > a.end and c.end < b.start for c in g.tokens)
+    return g.index.follows(a.end, b.start)
+
+
+class _Pool:
+    """The instance store plus the two lookups the fixpoint needs.
+
+    ``by_symbol`` lists a symbol's instances by ascending id, for the first
+    position of a rule body; ``by_start`` maps ``(symbol, start offset)`` to
+    ``(id, end)`` pairs by ascending id, for every later position.
+    """
+
+    def __init__(self, g: LexGraph):
+        self.index = g.index
+        self.instances: list[SymbolInstance] = []
+        self.by_symbol: dict[str, list[int]] = {}
+        self.by_start: dict[tuple[str, int], list[tuple[int, int]]] = {}
+
+    def add(self, inst: SymbolInstance) -> None:
+        self.instances.append(inst)
+        self.by_symbol.setdefault(inst.type_name, []).append(inst.id)
+        self.by_start.setdefault((inst.type_name, inst.start), []).append((inst.id, inst.end))
+
+    def matches(self, rule: GrammarRule, first: SymbolInstance) -> list[tuple[int, ...]]:
+        """Every way to satisfy ``rule`` starting at ``first``, as child-id tuples.
+
+        Depth first, with each position's candidates in ascending id order:
+        the ``by_start`` entries for every token start in the follows window
+        of the previous child.  Every instance starts where some token starts,
+        so these are exactly the instances `extended_follows` accepts.
+        """
+        if first.type_name != rule.rhs[0]:
+            return []
+        starts, window, by_start = self.index.starts, self.index.window, self.by_start
+        out: list[tuple[int, ...]] = []
+        stack = [((first.id,), first.end)]
+        while stack:
+            children, end = stack.pop()
+            k = len(children)
+            if k == len(rule.rhs):
+                out.append(children)
+                continue
+            symbol = rule.rhs[k]
+            lo, hi = window(end)
+            candidates = sorted(c for s in set(starts[lo:hi]) for c in by_start.get((symbol, s), ()))
+            stack.extend((children + (iid,), iend) for iid, iend in reversed(candidates))
+        return out
 
 
 def match_rule_from(
@@ -69,25 +120,10 @@ def match_rule_from(
     Tuples come out in depth-first order with candidates tried by ascending
     instance id, so the result is deterministic for a given store.
     """
-    if first.type_name != rule.rhs[0]:
-        return []
-    out: list[tuple[int, ...]] = []
-
-    def extend(children: tuple[int, ...], k: int) -> None:
-        if k == len(rule.rhs):
-            out.append(children)
-            return
-        prev = store[children[-1]]
-        for inst in store:
-            if inst.type_name == rule.rhs[k] and extended_follows(prev, inst, g):
-                extend(children + (inst.id,), k + 1)
-
-    extend((first.id,), 1)
-    return out
-
-
-def _spans_whole_input(inst: SymbolInstance, g: LexGraph) -> bool:
-    return not any(t.end < inst.start or t.start > inst.end for t in g.tokens)
+    pool = _Pool(g)
+    for inst in store:
+        pool.add(inst)
+    return pool.matches(rule, first)
 
 
 def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
@@ -98,36 +134,34 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
     terminates.  Distinct derivations stay distinct: an instance is deduped
     only on (rule lhs, exact child ids).
     """
-    instances: list[SymbolInstance] = [
-        SymbolInstance(t.id, t.type_name, t.start, t.end, (), None, t.text)
-        for t in g.tokens
-    ]
+    pool = _Pool(g)
+    for t in g.tokens:
+        pool.add(SymbolInstance(t.id, t.type_name, t.start, t.end, (), None, t.text))
+    instances = pool.instances
     seen: dict[tuple[str, tuple[int, ...]], int] = {}
     changed = True
     while changed:
         changed = False
         for rule in grammar.rules:
+            firsts = pool.by_symbol.get(rule.rhs[0], [])
             idx = 0
-            while idx < len(instances):
-                first = instances[idx]
+            while idx < len(firsts):  # grows while the rule runs when it is left-recursive
+                first = instances[firsts[idx]]
                 idx += 1
-                if first.type_name != rule.rhs[0]:
-                    continue
-                for children in match_rule_from(rule, first, instances, g):
+                for children in pool.matches(rule, first):
                     key = (rule.lhs, children)
                     if key in seen:
                         continue
                     new_id = len(instances)
                     seen[key] = new_id
                     last = instances[children[-1]]
-                    instances.append(
-                        SymbolInstance(new_id, rule.lhs, first.start, last.end, children, rule)
-                    )
+                    pool.add(SymbolInstance(new_id, rule.lhs, first.start, last.end, children, rule))
                     changed = True
+    spans_all = g.index.spans_all
     accepted = tuple(
         inst.id
         for inst in instances
-        if inst.type_name == grammar.start_symbol and _spans_whole_input(inst, g)
+        if inst.type_name == grammar.start_symbol and spans_all(inst.start, inst.end)
     )
     return ParseForest(tuple(instances), accepted)
 

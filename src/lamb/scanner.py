@@ -58,11 +58,11 @@ class Matcher:
 
 def _matchers(spec: LexSpec) -> list[Matcher]:
     matchers = [
-        Matcher(d, d.name, d.priority, d.ordinal, pattern.compile(d.pattern_source))
+        Matcher(d, d.name, d.priority, d.ordinal, d.compiled)
         for d in spec.token_defs
     ]
     matchers.extend(
-        Matcher(d, None, 0, d.ordinal, pattern.compile(d.pattern_source))
+        Matcher(d, None, 0, d.ordinal, d.compiled)
         for d in spec.ignore_defs
     )
     matchers.sort(key=lambda m: (m.priority, m.ordinal))

@@ -8,6 +8,7 @@ import itertools
 import re
 
 from lamb import Grammar, GrammarRule, LexSpec, TokenDef, enumerate_sequences, validate
+from lamb.parser import ParseForest, SymbolInstance
 from lamb.scanner import ScanResult, Token
 
 # --- canonical corpus -------------------------------------------------------
@@ -282,3 +283,85 @@ def forest_accepted_trees(forest) -> set:
         return (inst.type_name, tuple(canon(c) for c in inst.children))
 
     return {canon(root) for root in forest.accepted}
+
+
+# --- reference fixpoint parser ------------------------------------------------
+# A literal copy of the original fixpoint parser: adjacency by scanning every
+# token, candidates by walking the whole instance store.  The indexed parser
+# must build exactly the same forest, instance ids included.
+
+def literal_follows(a, b, g) -> bool:
+    if b.start <= a.end:
+        return False
+    return not any(c.start > a.end and c.end < b.start for c in g.tokens)
+
+
+def _literal_match_rule_from(rule, first, store, g):
+    if first.type_name != rule.rhs[0]:
+        return []
+    out = []
+
+    def extend(children, k):
+        if k == len(rule.rhs):
+            out.append(children)
+            return
+        prev = store[children[-1]]
+        for inst in store:
+            if inst.type_name == rule.rhs[k] and literal_follows(prev, inst, g):
+                extend(children + (inst.id,), k + 1)
+
+    extend((first.id,), 1)
+    return out
+
+
+def _literal_spans_whole_input(inst, g) -> bool:
+    return not any(t.end < inst.start or t.start > inst.end for t in g.tokens)
+
+
+def literal_parse(g, grammar) -> ParseForest:
+    instances = [
+        SymbolInstance(t.id, t.type_name, t.start, t.end, (), None, t.text)
+        for t in g.tokens
+    ]
+    seen = {}
+    changed = True
+    while changed:
+        changed = False
+        for rule in grammar.rules:
+            idx = 0
+            while idx < len(instances):
+                first = instances[idx]
+                idx += 1
+                if first.type_name != rule.rhs[0]:
+                    continue
+                for children in _literal_match_rule_from(rule, first, instances, g):
+                    key = (rule.lhs, children)
+                    if key in seen:
+                        continue
+                    new_id = len(instances)
+                    seen[key] = new_id
+                    last = instances[children[-1]]
+                    instances.append(
+                        SymbolInstance(new_id, rule.lhs, first.start, last.end, children, rule)
+                    )
+                    changed = True
+    accepted = tuple(
+        inst.id
+        for inst in instances
+        if inst.type_name == grammar.start_symbol and _literal_spans_whole_input(inst, g)
+    )
+    return ParseForest(tuple(instances), accepted)
+
+
+# --- numbers-list documents -----------------------------------------------------
+
+NUMBERS_LIST_GRAMMAR = "start S\nS ::= E | E S\n" + NUMBERS_GRAMMAR
+
+
+def numbers_list_input(rng, groups: int) -> str:
+    """``groups`` copies of the numbers example shape with random digits."""
+
+    def digits():
+        return "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 4)))
+
+    return " ".join(f"&{digits()}.{digits()}& /{digits()}.{digits()}/" for _ in range(groups))

@@ -183,3 +183,30 @@ def test_outputs_are_byte_stable(files, capsys):
         out, _ = capsys.readouterr()
         outputs.add(out)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("flag", ["--input", "--spec", "--grammar"])
+def test_file_that_is_not_utf8_is_an_error(files, capsys, flag):
+    bad = files["dir"] / "bad.bin"
+    bad.write_bytes(b"\xff\xfe&5")
+    paths = {"--spec": files["spec"], "--grammar": files["grammar"], "--input": files["input"]}
+    paths[flag] = str(bad)
+    code = run(["parse", *(arg for pair in paths.items() for arg in pair)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"lamb: error: {bad}: not valid UTF-8 at byte 0\n"
+
+
+def test_parse_rule_past_the_last_token_exits_2(files, capsys):
+    spec = files["dir"] / "a.lamb"
+    spec.write_text("token A 1 /a/\nignore / +/\n", encoding="utf-8")
+    grammar = files["dir"] / "a.grammar"
+    grammar.write_text("S ::= A A\n", encoding="utf-8")
+    source = files["dir"] / "a.txt"
+    source.write_text("a   ", encoding="utf-8")
+    code = run(["parse", "--spec", str(spec), "--grammar", str(grammar), "--input", str(source)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "no valid sentence" in err

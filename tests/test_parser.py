@@ -7,16 +7,20 @@ from lamb import (
     Grammar,
     GrammarRule,
     build_graph,
+    build_graph_oracle,
     extended_follows,
     forest_to_json,
+    graph_from_json,
     match_rule_from,
     parse,
     parse_grammar,
     parse_lex_spec,
     render_trees,
     scan,
+    to_json,
 )
 from lamb.parser import SymbolInstance, forest_to_dot
+from lamb.scanner import ScanResult, Token
 
 
 def _inst(iid, type_name, start, end):
@@ -223,3 +227,103 @@ def test_accepted_leaves_replay_on_random_cases():
         forest = parse(graph, grammar)
         for root in forest.accepted:
             assert _is_maximal_path(graph, _leaves(forest, root))
+
+
+def _outputs(forest):
+    return forest_to_json(forest), render_trees(forest), forest_to_dot(forest)
+
+
+def test_extended_follows_matches_literal_definition():
+    # Instances span several tokens or none, offsets fall inside tokens and in
+    # ignored gaps, and half the graphs index their tokens out of start order.
+    rng = random.Random(4242)
+    for case in range(300):
+        result = support.random_interval_result(rng, max_tokens=12, field=30)
+        if case % 2:
+            shuffled = list(result.tokens)
+            rng.shuffle(shuffled)
+            graph = build_graph_oracle(ScanResult(tuple(shuffled), result.input_length, ()))
+        else:
+            graph = build_graph(result)
+        for _ in range(40):
+            a_start, b_start = rng.randint(-2, 42), rng.randint(-2, 42)
+            a = _inst(0, "A", a_start, a_start + rng.randint(0, 12))
+            b = _inst(1, "B", b_start, b_start + rng.randint(0, 12))
+            assert extended_follows(a, b, graph) == support.literal_follows(a, b, graph), (
+                result, a, b)
+
+
+def test_parse_matches_literal_parser_on_random_cases():
+    rng = random.Random(0xF0E57)
+    for _ in range(300):
+        result, grammar = support.random_parse_case(rng)
+        graph = build_graph(result)
+        assert _outputs(parse(graph, grammar)) == _outputs(support.literal_parse(graph, grammar)), (
+            result, grammar)
+
+
+def test_parse_matches_literal_parser_on_numbers_lists(numbers_spec):
+    grammar = parse_grammar(support.NUMBERS_LIST_GRAMMAR, numbers_spec)
+    rng = random.Random(16)
+    for groups in range(1, 17):
+        graph = build_graph(scan(numbers_spec, support.numbers_list_input(rng, groups)))
+        forest = parse(graph, grammar)
+        assert len(forest.accepted) == 1
+        assert _outputs(forest) == _outputs(support.literal_parse(graph, grammar)), groups
+
+
+@pytest.mark.parametrize("text", ["a", "a   "])
+def test_rule_needing_a_successor_after_the_last_token(text):
+    spec = parse_lex_spec("token A 1 /a/\nignore / +/\n")
+    grammar = parse_grammar("S ::= A A\n", spec)
+    graph = build_graph(scan(spec, text))
+    forest = parse(graph, grammar)
+    assert len(forest.instances) == 1
+    assert forest.accepted == ()
+
+
+def test_parse_empty_token_list(numbers_grammar):
+    forest = parse(build_graph(ScanResult((), 0, ())), numbers_grammar)
+    assert forest.instances == ()
+    assert forest.accepted == ()
+
+
+def test_parse_tokens_sharing_a_start():
+    # X@0-0 and Y@0-1 share start 0, as do X@2-2 and Y@2-3; Z@1-1 follows only
+    # X@0-0, and both tokens at 2 follow Z and Y@0-1.
+    toks = (
+        Token(0, "X", "x", 0, 0), Token(1, "Y", "xy", 0, 1),
+        Token(2, "Z", "y", 1, 1), Token(3, "X", "z", 2, 2), Token(4, "Y", "zz", 2, 3),
+    )
+    graph = build_graph(ScanResult(toks, 4, ()))
+    grammar = Grammar((
+        GrammarRule("S", ("X", "Z", "P")), GrammarRule("S", ("Y", "P")),
+        GrammarRule("P", ("X",)), GrammarRule("P", ("Y",)),
+    ), "S")
+    forest = parse(graph, grammar)
+    assert _outputs(forest) == _outputs(support.literal_parse(graph, grammar))
+    assert support.forest_accepted_trees(forest) == {
+        ("S", (0, 2, ("P", (3,)))), ("S", (0, 2, ("P", (4,)))),
+        ("S", (1, ("P", (3,)))), ("S", (1, ("P", (4,)))),
+    }
+
+
+def test_parse_takes_candidates_at_different_starts_in_id_order():
+    # X@2-2 and Y@1-2 both follow Z@0-0.  N@2 (from X) gets its id before N@1
+    # (from Y), so the candidates for S's second child, taken start by start,
+    # come out of id order and have to be merged.
+    toks = (Token(0, "Z", "z", 0, 0), Token(1, "Y", "yy", 1, 2), Token(2, "X", "x", 2, 2))
+    graph = build_graph(ScanResult(toks, 3, ()))
+    grammar = Grammar((
+        GrammarRule("S", ("Z", "N")), GrammarRule("N", ("X",)), GrammarRule("N", ("Y",)),
+    ), "S")
+    forest = parse(graph, grammar)
+    assert _outputs(forest) == _outputs(support.literal_parse(graph, grammar))
+    assert [forest.instances[i].children for i in forest.accepted] == [(0, 3), (0, 4)]
+
+
+def test_parse_graph_round_tripped_through_json(numbers_spec):
+    grammar = parse_grammar(support.NUMBERS_LIST_GRAMMAR, numbers_spec)
+    graph = build_graph(scan(numbers_spec, support.numbers_list_input(random.Random(5), 3)))
+    loaded = graph_from_json(to_json(graph))
+    assert _outputs(parse(loaded, grammar)) == _outputs(parse(graph, grammar))

@@ -11,8 +11,10 @@ from lamb import (
     parse_grammar,
     parse_lex_spec,
     render_lex_spec,
+    scan,
     validate,
 )
+from lamb import pattern
 
 
 def test_parses_numbers_spec():
@@ -160,3 +162,22 @@ def test_validate_programmatic_grammar():
     assert len(diags) == 1
     assert "start symbol" in diags[0].message
     assert diags[0].line >= 1
+
+
+def test_each_pattern_compiles_once_per_spec(monkeypatch):
+    calls = []
+    real_compile = pattern.compile
+
+    def counting_compile(source):
+        calls.append(source)
+        return real_compile(source)
+
+    monkeypatch.setattr(pattern, "compile", counting_compile)
+    spec = parse_lex_spec(support.numbers_spec_text())
+    for _ in range(3):
+        scan(spec, support.NUMBERS_INPUT)
+    assert len(calls) == 6  # five tokens and one ignore pattern
+    hand_built = LexSpec((TokenDef("X", 1, "x", 0),), ())
+    for _ in range(3):
+        scan(hand_built, "xx")
+    assert calls[6:] == ["x"]
