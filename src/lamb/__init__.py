@@ -28,7 +28,6 @@ from .parser import (
 from .pattern import Pattern, PatternError
 from .pattern import compile as compile_pattern
 from .scanner import (
-    Matcher,
     ScanResult,
     Token,
     render_tokens_text,
@@ -58,7 +57,6 @@ __all__ = [
     "IgnoreDef",
     "LexGraph",
     "LexSpec",
-    "Matcher",
     "ParseForest",
     "Pattern",
     "PatternError",

@@ -4,6 +4,12 @@ These restate the scanning semantics and the adjacency definition in the most
 literal way possible, sharing no logic with `scanner.scan` or
 `lexgraph.build_graph`.  They exist to be compared against the production
 paths (the CLI's ``--oracle-check`` does exactly that), so keep them naive.
+
+`scan_oracle` shares only the Thompson construction with the scanner
+(`pattern.compile`, itself checked against Python's ``re`` in the tests).  It
+never calls `Pattern.match_longest_at`, which runs a lazily built DFA: its own
+engine, `match_longest_oracle`, simulates the NFA breadth first, building the
+set of live NFA states afresh at every character.
 """
 
 from __future__ import annotations
@@ -13,7 +19,40 @@ from .lexgraph import LexGraph
 from .scanner import ScanResult, Token
 from .spec_io import LexSpec
 
-__all__ = ["build_graph_oracle", "scan_oracle"]
+__all__ = ["build_graph_oracle", "match_longest_oracle", "scan_oracle"]
+
+
+def _label_matches(label: tuple, ch: str) -> bool:
+    if label[0] == "ch":
+        return ch == label[1]
+    if label[0] == "any":
+        return ch != "\n"
+    _, ranges, negated = label
+    return any(lo <= ch <= hi for lo, hi in ranges) != negated
+
+
+def match_longest_oracle(prog: pattern.Pattern, text: str, pos: int) -> int | None:
+    """Same contract as `Pattern.match_longest_at`, by breadth-first NFA simulation.
+
+    Reads only the compiled NFA (``_edges``, ``_closures``, ``_start_closure``
+    and ``_accept``) and caches nothing between characters or calls.
+    """
+    if not 0 <= pos <= len(text):
+        raise ValueError(f"position {pos} outside input of length {len(text)}")
+    current = set(prog._start_closure)
+    best = None
+    for i in range(pos, len(text)):
+        moved = set()
+        for state in current:
+            for label, target in prog._edges[state]:
+                if _label_matches(label, text[i]):
+                    moved |= prog._closures[target]
+        if not moved:
+            break
+        current = moved
+        if prog._accept in current:
+            best = i + 1 - pos
+    return best
 
 
 def scan_oracle(spec: LexSpec, text: str) -> ScanResult:
@@ -21,7 +60,8 @@ def scan_oracle(spec: LexSpec, text: str) -> ScanResult:
 
     Watermarks live in a dict keyed by matcher index, the visiting order is
     recomputed per position, and the post-match watermark target is found by
-    iterative lowering instead of a one-shot minimum.
+    iterative lowering instead of a one-shot minimum.  Patterns are compiled
+    afresh and matched with `match_longest_oracle`.
     """
     entries: list[tuple[int, int, str | None, pattern.Pattern]] = []
     for d in spec.ignore_defs:
@@ -42,7 +82,7 @@ def scan_oracle(spec: LexSpec, text: str) -> ScanResult:
                 break
             if last_priority != -1 and priority > last_priority:
                 break
-            length = prog.match_longest_at(text, i)
+            length = match_longest_oracle(prog, text, i)
             if length is None:
                 continue
             last_priority = priority

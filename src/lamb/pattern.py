@@ -6,11 +6,19 @@ negation; grouping ``(...)``; alternation ``|``; the repetitions ``*`` ``+``
 ``?``; and ``.`` for any character except newline.  No anchors, no
 backreferences, no counted repetition.
 
-Patterns compile to a small Thompson-style NFA that is simulated breadth
-first, so a match query costs time linear in the remaining input regardless
-of the pattern.  Matching is anchored at the query position, every
-alternation branch competes, and the longest hit wins.  Zero-length matches
-are never reported.
+Patterns compile to a small Thompson-style NFA.  Match queries run on a DFA
+built from it lazily by subset construction (Cox, "Regular Expression
+Matching Can Be Simple And Fast", 2007): a DFA state is the set of NFA states
+reachable so far, and its transition on a character is computed the first
+time that character is seen there, then kept.  A query therefore costs one
+dict lookup per character once the states it visits exist, and never more
+than one subset step per character, so it stays linear in the remaining
+input regardless of the pattern.  Each pattern keeps at most
+``_DFA_CACHE_LIMIT`` states; past that the cache is emptied and rebuilt on
+demand, so memory stays bounded on patterns whose full DFA is exponential.
+
+Matching is anchored at the query position, every alternation branch
+competes, and the longest hit wins.  Zero-length matches are never reported.
 """
 
 from __future__ import annotations
@@ -44,10 +52,30 @@ def _label_matches(label: tuple, ch: str) -> bool:
     return hit != label[2]
 
 
-class Pattern:
-    """Compiled recognizer for one pattern; immutable, safe to share."""
+_DFA_CACHE_LIMIT = 4096  # DFA states kept per pattern before the cache is emptied
 
-    __slots__ = ("source", "_edges", "_closures", "_start_closure", "_accept")
+
+class _DState:
+    """One DFA state: a set of NFA states and its transitions found so far."""
+
+    __slots__ = ("nfa", "accepting", "next")
+
+    def __init__(self, nfa: frozenset[int], accepting: bool):
+        self.nfa = nfa
+        self.accepting = accepting
+        self.next: dict[str, _DState | bool] = {}  # False: the empty set, no match beyond
+
+
+class Pattern:
+    """Compiled recognizer for one pattern; safe to share.
+
+    The NFA is immutable.  The lazily built DFA (``_dfa``, keyed by NFA state
+    set, and ``_start``) is a cache: it only ever gains states that are equal
+    by content to ones it could have built, or is emptied, so answers never
+    depend on earlier queries.  `compile` builds no DFA state.
+    """
+
+    __slots__ = ("source", "_edges", "_closures", "_start_closure", "_accept", "_dfa", "_start")
 
     def __init__(self, source, edges, closures, start, accept):
         self.source = source
@@ -55,6 +83,8 @@ class Pattern:
         self._closures = closures
         self._start_closure = closures[start]
         self._accept = accept
+        self._dfa: dict[frozenset[int], _DState] = {}
+        self._start: _DState | None = None
 
     def __repr__(self) -> str:
         return f"Pattern({self.source!r})"
@@ -65,32 +95,49 @@ class Pattern:
         Returns None when nothing (or only the empty string) matches; a
         reported length is always >= 1.
         """
-        if not 0 <= pos <= len(text):
-            raise ValueError(f"position {pos} outside input of length {len(text)}")
+        n = len(text)
+        if not 0 <= pos <= n:
+            raise ValueError(f"position {pos} outside input of length {n}")
+        state = self._start
+        if state is None:
+            state = self._start = self._intern(self._start_closure)
+        end = pos
+        i = pos
+        while i < n:  # most queries stop within two characters: skip building a range
+            nxt = state.next.get(text[i])
+            if not nxt:  # None: not computed yet; False: no NFA state left
+                if nxt is None:
+                    nxt = self._step(state, text[i])
+                if not nxt:
+                    break
+            i += 1
+            state = nxt
+            if state.accepting:
+                end = i
+        return end - pos or None
+
+    def _intern(self, nfa: frozenset[int]) -> _DState:
+        state = self._dfa.get(nfa)
+        if state is None:
+            if len(self._dfa) >= _DFA_CACHE_LIMIT:
+                # Old states stay reachable only from a query still running.
+                self._dfa.clear()
+                self._start = None
+            state = self._dfa[nfa] = _DState(nfa, self._accept in nfa)
+        return state
+
+    def _step(self, state: _DState, ch: str) -> _DState | bool:
+        """Compute and keep the transition of ``state`` on ``ch``."""
         edges = self._edges
         closures = self._closures
-        accept = self._accept
-        current = self._start_closure
-        best = None
-        i = pos
-        n = len(text)
-        while current and i < n:
-            ch = text[i]
-            moved = set()
-            for state in current:
-                for label, target in edges[state]:
-                    if _label_matches(label, ch):
-                        moved.add(target)
-            if not moved:
-                break
-            nxt: set[int] = set()
-            for state in moved:
-                nxt |= closures[state]
-            current = nxt
-            i += 1
-            if accept in current:
-                best = i - pos
-        return best
+        moved: set[int] = set()
+        for s in state.nfa:
+            for label, target in edges[s]:
+                if _label_matches(label, ch):
+                    moved |= closures[target]
+        nxt = self._intern(frozenset(moved)) if moved else False
+        state.next[ch] = nxt
+        return nxt
 
 
 def _epsilon_closures(eps: list[list[int]]) -> list[frozenset[int]]:
@@ -108,7 +155,11 @@ def _epsilon_closures(eps: list[list[int]]) -> list[frozenset[int]]:
 
 
 class _Compiler:
-    """Recursive-descent compiler emitting NFA fragments (start, accept)."""
+    """Compiler emitting NFA fragments (start, accept).
+
+    Open groups are kept on an explicit stack rather than in Python frames,
+    so nesting depth is bounded by memory, not by the recursion limit.
+    """
 
     def __init__(self, source: str):
         self.source = source
@@ -143,19 +194,39 @@ class _Compiler:
     def compile(self) -> Pattern:
         if not self.source:
             self.fail("empty pattern", 0)
-        start, accept = self.alternation()
-        if self.pos != len(self.source):
-            # alternation only stops early on an unexpected ')'
-            self.fail("unmatched ')'")
+        groups: list[tuple[list, list, int]] = []  # enclosing (branches, sequence, '(' position)
+        branches: list[tuple[int, int]] = []  # finished branches of the innermost open group
+        frags: list[tuple[int, int]] = []     # fragments of its current branch
+        while (ch := self.peek()) is not None:
+            if ch == "(":
+                groups.append((branches, frags, self.pos))
+                self.take()
+                branches, frags = [], []
+                continue
+            if ch == "|":
+                self.take()
+                branches.append(self.sequence(frags))
+                frags = []
+                continue
+            if ch == ")":
+                if not groups:
+                    self.fail("unmatched ')'")
+                self.take()
+                branches.append(self.sequence(frags))
+                frag = self.alternation(branches)
+                branches, frags, _ = groups.pop()
+            else:
+                frag = self.atom()
+            frags.append(self.repetition(frag))
+        if groups:
+            self.fail("unbalanced group", groups[-1][2])
+        branches.append(self.sequence(frags))
+        start, accept = self.alternation(branches)
         closures = _epsilon_closures(self.eps)
         edges = [tuple(e) for e in self.edges]
         return Pattern(self.source, edges, closures, start, accept)
 
-    def alternation(self) -> tuple[int, int]:
-        frags = [self.sequence()]
-        while self.peek() == "|":
-            self.take()
-            frags.append(self.sequence())
+    def alternation(self, frags: list[tuple[int, int]]) -> tuple[int, int]:
         if len(frags) == 1:
             return frags[0]
         s, a = self.new_state(), self.new_state()
@@ -164,10 +235,7 @@ class _Compiler:
             self.link(fa, a)
         return s, a
 
-    def sequence(self) -> tuple[int, int]:
-        frags = []
-        while (ch := self.peek()) is not None and ch not in ")|":
-            frags.append(self.repetition())
+    def sequence(self, frags: list[tuple[int, int]]) -> tuple[int, int]:
         if not frags:
             s = self.new_state()
             return s, s
@@ -175,8 +243,7 @@ class _Compiler:
             self.link(left_end, right_start)
         return frags[0][0], frags[-1][1]
 
-    def repetition(self) -> tuple[int, int]:
-        frag = self.atom()
+    def repetition(self, frag: tuple[int, int]) -> tuple[int, int]:
         ch = self.peek()
         if ch in ("*", "+", "?"):
             self.take()
@@ -197,15 +264,8 @@ class _Compiler:
         return s, a
 
     def atom(self) -> tuple[int, int]:
+        """One character, class or ``.``; groups are handled in `compile`."""
         ch = self.peek()
-        if ch == "(":
-            opened = self.pos
-            self.take()
-            frag = self.alternation()
-            if self.peek() != ")":
-                self.fail("unbalanced group", opened)
-            self.take()
-            return frag
         if ch == "[":
             return self.char_class()
         if ch in ("*", "+", "?"):

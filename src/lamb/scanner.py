@@ -17,12 +17,12 @@ still letting genuinely overlapping alternatives coexist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
-from . import pattern
-from .spec_io import IgnoreDef, LexSpec, TokenDef
+from .spec_io import LexSpec
 
-__all__ = ["Matcher", "ScanResult", "Token", "render_tokens_text", "scan", "uncovered_spans"]
+__all__ = ["ScanResult", "Token", "render_tokens_text", "scan", "uncovered_spans"]
 
 
 @dataclass(frozen=True)
@@ -44,31 +44,6 @@ class ScanResult:
     ignored: tuple[tuple[int, int], ...] = ()  # spans consumed by priority-0 patterns
 
 
-@dataclass
-class Matcher:
-    """One pattern plus its per-scan watermark state (priority 0 = ignored)."""
-
-    definition: TokenDef | IgnoreDef
-    name: str | None
-    priority: int
-    ordinal: int
-    pattern: pattern.Pattern
-    watermark: int = field(default=-1)
-
-
-def _matchers(spec: LexSpec) -> list[Matcher]:
-    matchers = [
-        Matcher(d, d.name, d.priority, d.ordinal, d.compiled)
-        for d in spec.token_defs
-    ]
-    matchers.extend(
-        Matcher(d, None, 0, d.ordinal, d.compiled)
-        for d in spec.ignore_defs
-    )
-    matchers.sort(key=lambda m: (m.priority, m.ordinal))
-    return matchers
-
-
 def scan(spec: LexSpec, text: str) -> ScanResult:
     """Collect all admissible tokens of ``text`` under ``spec``.
 
@@ -76,32 +51,41 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     precedence), with ids assigned sequentially from 0.  Characters nothing
     matches are simply passed over; `uncovered_spans` reports them.
     """
-    matchers = _matchers(spec)
+    entries = [(d.priority, d.ordinal, d.name, d.compiled) for d in spec.token_defs]
+    entries += [(0, d.ordinal, None, d.compiled) for d in spec.ignore_defs]
+    entries.sort(key=lambda e: e[:2])  # precedence order; priority 0 = ignored
+    # Per matcher, in that order: priority, token name, bound match method,
+    # watermark, and where its suffix of strictly lower precedence starts.
+    priorities = [e[0] for e in entries]
+    names = [e[2] for e in entries]
+    matches = [e[3].match_longest_at for e in entries]
+    marks = [-1] * len(entries)
+    lower = [bisect_right(priorities, p) for p in priorities]
     tokens: list[Token] = []
     ignored: list[tuple[int, int]] = []
     for i in range(len(text)):
-        p_min: int | None = None
-        for m in matchers:
-            if m.watermark >= i:
+        for k, match in enumerate(matches):
+            if marks[k] >= i:
                 continue
-            if p_min == 0:
-                break
-            if p_min is not None and m.priority > p_min:
-                break
-            length = m.pattern.match_longest_at(text, i)
+            length = match(text, i)
             if length is None:
                 continue
-            p_min = m.priority
             end = i + length - 1
-            if m.priority >= 1:
-                tokens.append(Token(len(tokens), m.name, text[i:end + 1], i, end))
+            new_mark = end
+            for mark in marks:
+                if i <= mark < new_mark:
+                    new_mark = mark
+            marks[k] = new_mark
+            # Dragging the lower-precedence suffix to new_mark >= i also
+            # keeps it from matching at i.
+            j = lower[k]
+            marks[j:] = [new_mark] * (len(marks) - j)
+            if priorities[k] >= 1:
+                tokens.append(Token(len(tokens), names[k], text[i:end + 1], i, end))
             else:
                 ignored.append((i, end))
-            min_end = min([end] + [x.watermark for x in matchers if i <= x.watermark <= end])
-            m.watermark = min_end
-            for other in matchers:
-                if other.priority > m.priority:
-                    other.watermark = min_end
+                if priorities[k] == 0:
+                    break  # an ignored match suppresses everything else here
     return ScanResult(tuple(tokens), len(text), tuple(ignored))
 
 

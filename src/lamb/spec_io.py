@@ -279,27 +279,27 @@ def _unit_cycle(rules: tuple[GrammarRule, ...], nonterminals: set[str]) -> list[
     for r in rules:
         if len(r.rhs) == 1 and r.rhs[0] in nonterminals:
             successors.setdefault(r.lhs, []).append(r.rhs[0])
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(node: str, trail: list[str]) -> list[str] | None:
-        state[node] = 1
-        trail.append(node)
-        for nxt in successors.get(node, ()):
-            if state.get(nxt) == 1:
-                return trail[trail.index(nxt):] + [nxt]
-            if state.get(nxt, 0) == 0:
-                cycle = visit(nxt, trail)
-                if cycle:
-                    return cycle
-        trail.pop()
-        state[node] = 2
-        return None
-
-    for node in successors:
-        if state.get(node, 0) == 0:
-            cycle = visit(node, [])
-            if cycle:
-                return cycle
+    state: dict[str, int] = {}  # 1 = on the current path, 2 = done
+    for root in successors:
+        if state.get(root, 0):
+            continue
+        # Depth-first search with the path and its successor iterators held
+        # in lists, so a long chain of unit rules cannot exhaust the stack.
+        trail = [root]
+        pending = [iter(successors[root])]
+        state[root] = 1
+        while pending:
+            for nxt in pending[-1]:
+                if state.get(nxt) == 1:
+                    return trail[trail.index(nxt):] + [nxt]
+                if state.get(nxt, 0) == 0:
+                    state[nxt] = 1
+                    trail.append(nxt)
+                    pending.append(iter(successors.get(nxt, ())))
+                    break
+            else:
+                pending.pop()
+                state[trail.pop()] = 2
     return None
 
 

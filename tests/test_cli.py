@@ -210,3 +210,26 @@ def test_parse_rule_past_the_last_token_exits_2(files, capsys):
     assert code == 2
     assert out == ""
     assert "no valid sentence" in err
+
+
+def test_deeply_nested_pattern_scans(files, capsys):
+    spec = files["dir"] / "deep.lamb"
+    spec.write_text("token A 1 /" + "(" * 3000 + "a" + ")" * 3000 + "/\n", encoding="utf-8")
+    source = files["dir"] / "a.txt"
+    source.write_text("aa", encoding="utf-8")
+    code = run(["scan", "--spec", str(spec), "--input", str(source)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == "0\tA\t0-0\ta\n1\tA\t1-1\ta\n"
+    assert err == ""
+
+
+def test_deeply_nested_bad_pattern_is_an_error(files, capsys):
+    spec = files["dir"] / "deep.lamb"
+    spec.write_text("token A 1 /" + "(" * 3000 + "a" + ")" * 2999 + "/\n", encoding="utf-8")
+    code = run(["scan", "--spec", str(spec), "--input", files["input"]])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lamb: error: line 1: bad pattern: unbalanced group in pattern '((")
+    assert err.endswith("' at position 0\n")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from lamb import oracles, pattern
 from lamb.pattern import PatternError, compile as compile_pattern
 
 
@@ -165,3 +166,73 @@ def test_seeded_sweep_against_brute_force():
         assert p.match_longest_at(text, pos) == support.longest_by_re(source, text, pos), (
             source, text, pos,
         )
+
+
+def test_nesting_deeper_than_the_recursion_limit_compiles():
+    p = compile_pattern("(" * 3000 + "a" + ")" * 3000 + "b?")
+    assert p.match_longest_at("ab", 0) == 2
+
+
+def test_unbalanced_deep_nesting_is_a_pattern_error():
+    with pytest.raises(PatternError) as excinfo:
+        compile_pattern("(" * 3000 + "a" + ")" * 2999)
+    assert excinfo.value.position == 0  # the outermost group is the one left open
+
+
+# --- the lazily built DFA, against the oracle's breadth-first NFA engine ------
+
+def test_compile_builds_no_dfa_state():
+    p = compile_pattern(r"(-|\+)?[0-9]+\.[0-9]+")
+    assert p._dfa == {} and p._start is None
+    assert p.match_longest_at("1.5", 0) == 3
+    assert p._dfa
+
+
+def _mixed_text(length: int) -> str:
+    rng = random.Random(20261018)
+    alphabet = "aab01 .\n\t&éßжω中😀"
+    return "".join(rng.choice(alphabet) for _ in range(length))
+
+
+@pytest.mark.parametrize("cache_limit", [pattern._DFA_CACHE_LIMIT, 2])
+def test_reused_pattern_agrees_with_nfa_at_every_position(monkeypatch, cache_limit):
+    monkeypatch.setattr(pattern, "_DFA_CACHE_LIMIT", cache_limit)
+    text = _mixed_text(5000)
+    for source in (r".+", r"[^ab\n]+", r"(a|é)+b?", r"[α-ω]+|[0-9]+(\.[0-9]+)?",
+                   r"[^0-9 a]*(ж|中)", r"(a|ab)(\n|\t)?", r"\n|.\.?"):
+        p = compile_pattern(source)
+        for pos in range(len(text) + 1):
+            assert p.match_longest_at(text, pos) == oracles.match_longest_oracle(p, text, pos), (
+                source, pos,
+            )
+        assert len(p._dfa) <= cache_limit
+
+
+class _WatchedCache(dict):
+    """A DFA cache that records its largest size and how often it was emptied."""
+
+    largest = 0
+    clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def test_dfa_cache_is_bounded_and_answers_survive_flushes():
+    # The DFA of (a|b)*a(a|b){12} has 2**13 states; a long random ab input
+    # visits more of them than the cache keeps.
+    p = compile_pattern("(a|b)*a" + "(a|b)" * 12)
+    p._dfa = cache = _WatchedCache()
+    rng = random.Random(7)
+    text = "".join(rng.choice("ab") for _ in range(12000))
+    for pos in (0, 1, 2, 5000, 11980):
+        assert p.match_longest_at(text, pos) == oracles.match_longest_oracle(p, text, pos), pos
+        # After a flush the next query starts from a fresh state, never an old one.
+        assert p._start is None or p._dfa.get(p._start.nfa) is p._start
+    assert cache.clears >= 1
+    assert cache.largest == pattern._DFA_CACHE_LIMIT

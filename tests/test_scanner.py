@@ -1,7 +1,7 @@
 import random
 
 import support
-from lamb import parse_lex_spec, scan, scan_oracle, uncovered_spans
+from lamb import parse_lex_spec, pattern, scan, scan_oracle, uncovered_spans
 from lamb.scanner import render_tokens_text
 
 # (id, type, text, start, end) for "&5.2& /25.20/" under shared priorities.
@@ -178,3 +178,13 @@ def test_render_tokens_text(numbers_scan):
     assert len(lines) == 12
     assert lines[0] == "0\tAmpersand\t0-0\t&"
     assert lines[8] == "8\tReal\t7-11\t25.20"
+
+
+def test_scan_oracle_does_not_use_the_scanner_pattern_engine(monkeypatch, numbers_spec):
+    expected = scan(numbers_spec, support.NUMBERS_INPUT)
+
+    def refuse(self, text, pos):
+        raise AssertionError("scan_oracle called Pattern.match_longest_at")
+
+    monkeypatch.setattr(pattern.Pattern, "match_longest_at", refuse)
+    assert scan_oracle(numbers_spec, support.NUMBERS_INPUT) == expected

@@ -181,3 +181,20 @@ def test_each_pattern_compiles_once_per_spec(monkeypatch):
     for _ in range(3):
         scan(hand_built, "xx")
     assert calls[6:] == ["x"]
+
+
+def _unit_chain(length: int, last: str) -> str:
+    return "".join(f"N{k} ::= N{k + 1}\n" for k in range(length - 1)) + f"N{length - 1} ::= {last}\n"
+
+
+def test_long_unit_rule_chain_without_cycle(numbers_spec):
+    grammar = parse_grammar(_unit_chain(3000, "Real"), numbers_spec)
+    assert len(grammar.rules) == 3000
+
+
+def test_long_unit_rule_chain_closed_into_a_cycle(numbers_spec):
+    with pytest.raises(SpecError) as excinfo:
+        parse_grammar(_unit_chain(3000, "N0"), numbers_spec)
+    cycle = " -> ".join(f"N{k}" for k in range(3000))
+    assert excinfo.value.line == 1
+    assert excinfo.value.message == f"unit-production cycle: {cycle} -> N0"
