@@ -19,7 +19,7 @@ from lamb import (
     scan,
     to_json,
 )
-from lamb.parser import SymbolInstance, forest_to_dot
+from lamb.parser import ParseForest, SymbolInstance, forest_to_dot
 from lamb.scanner import ScanResult, Token
 
 
@@ -327,3 +327,76 @@ def test_parse_graph_round_tripped_through_json(numbers_spec):
     graph = build_graph(scan(numbers_spec, support.numbers_list_input(random.Random(5), 3)))
     loaded = graph_from_json(to_json(graph))
     assert _outputs(parse(loaded, grammar)) == _outputs(parse(graph, grammar))
+
+
+# --- semi-naive passes: each must build exactly the literal parser's forest ---
+
+def _x_case(grammar_text, tokens):
+    spec = parse_lex_spec("token x 1 /x/\n")
+    return build_graph(scan(spec, "x" * tokens)), parse_grammar(grammar_text, spec)
+
+
+@pytest.mark.parametrize("grammar_text, tokens", [
+    ("L ::= L x | x\n", 30),      # left recursion grows the firsts within one visit
+    ("S ::= E S | E\nE ::= x\n", 12),  # after the first passes only S, the last child, is new
+    ("P ::= E E\nE ::= x | x E\n", 8),  # one symbol twice in a body, new in either place
+    ("E ::= E E | x\n", 7),       # ambiguous: Catalan(n-1) readings per span
+])
+def test_semi_naive_parse_matches_literal_parser(grammar_text, tokens):
+    graph, grammar = _x_case(grammar_text, tokens)
+    assert _outputs(parse(graph, grammar)) == _outputs(support.literal_parse(graph, grammar))
+
+
+def test_semi_naive_parse_with_rules_feeding_earlier_rules(numbers_spec):
+    # Reversed, every rule is fed by a later one, so it only finds its new
+    # instances on the next pass.
+    listed = parse_grammar(support.NUMBERS_LIST_GRAMMAR, numbers_spec)
+    grammar = Grammar(tuple(reversed(listed.rules)), listed.start_symbol)
+    graph = build_graph(scan(numbers_spec, support.numbers_list_input(random.Random(44), 6)))
+    forest = parse(graph, grammar)
+    assert len(forest.accepted) == 1
+    assert _outputs(forest) == _outputs(support.literal_parse(graph, grammar))
+
+
+def test_semi_naive_parse_when_the_rule_makes_its_own_first_new_instance():
+    # In pass 2, P ::= A B P starts with new instances only for B (B@3, B@4).
+    # Its first match makes P@2-4, the first new P, and the next first
+    # instance, A@0, needs that P after the old B@1: the rule's freshness
+    # flags must see the P it made.
+    toks = (
+        Token(0, "b", "b", 0, 0), Token(1, "c", "c", 1, 1), Token(2, "a", "a", 2, 2),
+        Token(3, "y", "y", 3, 3), Token(4, "y", "y", 4, 4),
+    )
+    graph = build_graph(ScanResult(toks, 5, ()))
+    grammar = Grammar((
+        GrammarRule("B", ("D",)), GrammarRule("A", ("a",)), GrammarRule("A", ("b",)),
+        GrammarRule("B", ("c",)), GrammarRule("P", ("y",)), GrammarRule("P", ("A", "B", "P")),
+        GrammarRule("D", ("y",)), GrammarRule("Q", ("B",)),
+    ), "P")
+    forest = parse(graph, grammar)
+    assert _outputs(forest) == _outputs(support.literal_parse(graph, grammar))
+    assert [forest.instances[i].children for i in forest.accepted] == [(6, 7, 15)]
+
+
+def test_parse_matches_literal_parser_on_random_cases_by_seed():
+    for seed in range(61000, 61300):
+        result, grammar = support.random_parse_case(random.Random(seed))
+        graph = build_graph(result)
+        assert _outputs(parse(graph, grammar)) == _outputs(support.literal_parse(graph, grammar)), seed
+
+
+def test_render_trees_deep_forest():
+    # A hand-built right-recursive tree, L ::= x | x L over 5000 tokens: one
+    # level per token, far past the recursion limit.
+    depth = 5000
+    leaves = [SymbolInstance(i, "x", i, i, (), None, "x") for i in range(depth)]
+    rule, base = GrammarRule("L", ("x", "L")), GrammarRule("L", ("x",))
+    chain = [SymbolInstance(depth, "L", depth - 1, depth - 1, (depth - 1,), base)]
+    for i in range(depth - 2, -1, -1):
+        chain.append(SymbolInstance(depth + len(chain), "L", i, depth - 1, (i, chain[-1].id), rule))
+    forest = ParseForest(tuple(leaves + chain), (chain[-1].id,))
+    text = render_trees(forest)
+    expected = "".join(
+        f'{"  " * d}L [{d}-{depth - 1}]\n{"  " * (d + 1)}x "x" [{d}-{d}]\n' for d in range(depth)
+    )
+    assert text == expected
