@@ -71,6 +71,9 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"lamb: error: {exc}", file=sys.stderr)
         return 1
+    if args.command == "sequences" and args.limit < 1:
+        print("lamb: error: --limit must be >= 1", file=sys.stderr)
+        return 1
 
     try:
         spec = spec_io.parse_lex_spec(_read(args.spec))
@@ -78,10 +81,7 @@ def run(argv: list[str]) -> int:
         if args.command == "parse":
             grammar = spec_io.parse_grammar(_read(args.grammar), spec)
         text = _read(args.input)
-    except OSError as exc:
-        print(f"lamb: error: {exc}", file=sys.stderr)
-        return 1
-    except spec_io.SpecError as exc:
+    except (OSError, spec_io.SpecError) as exc:
         print(f"lamb: error: {exc}", file=sys.stderr)
         return 1
 
@@ -101,9 +101,6 @@ def run(argv: list[str]) -> int:
         else:
             sys.stdout.write(lexgraph.to_dot(graph))
     elif args.command == "sequences":
-        if args.limit < 1:
-            print("lamb: error: --limit must be >= 1", file=sys.stderr)
-            return 1
         paths, truncated = lexgraph.enumerate_sequences(graph, args.limit)
         if truncated:
             _warn(f"sequence list truncated at {args.limit}")

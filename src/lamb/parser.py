@@ -35,7 +35,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .lexgraph import LexGraph
+from .lexgraph import LexGraph, _dot_escape
 from .spec_io import Grammar, GrammarRule
 
 __all__ = [
@@ -268,8 +268,7 @@ def forest_to_dot(f: ParseForest) -> str:
             label = f"{inst.type_name}@{inst.start}-{inst.end}"
         else:
             label = f'{inst.type_name}\n"{inst.text}"@{inst.start}-{inst.end}'
-        label = label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        lines.append(f'  i{iid} [label="{label}"];')
+        lines.append(f'  i{iid} [label="{_dot_escape(label)}"];')
     for iid in sorted(reachable):
         for child in f.instances[iid].children:
             lines.append(f"  i{iid} -> i{child};")

@@ -14,6 +14,13 @@ Grammar (UTF-8, line based)::
 
     start <NAME>              # optional, at most once
     <LHS> ::= <SYM> <SYM> ... # `|` separates alternatives on one line
+
+`parse_lex_spec` and `parse_grammar` check only the syntax a `LexSpec` or
+`Grammar` cannot hold, then raise the first problem `validate` lists for the
+model they built, so every other rule is checked in one place.  A syntax
+error anywhere in a file is reported before any other problem; next comes
+the earliest faulty definition or rule, and only then a spec without
+tokens, a missing start rule or a unit cycle.
 """
 
 from __future__ import annotations
@@ -57,6 +64,8 @@ class Diagnostic:
 
 class _CompiledPattern:
     """``d.compiled``: ``d.pattern_source`` compiled on first use and kept on ``d``.
+
+    For a parsed spec that use is while validating; `scan` reuses the result.
 
     A cached property written out by hand: `functools.cached_property` takes a
     lock and re-checks its cache on every first access (Python 3.11), which
@@ -133,18 +142,10 @@ def _take_regex(rest: str, lineno: int) -> str:
     return source
 
 
-def _compile_checked(d: TokenDef | IgnoreDef) -> None:
-    try:
-        d.compiled  # compiles the pattern once and keeps it for scanning
-    except pattern.PatternError as exc:
-        raise SpecError(d.line, f"bad pattern: {exc}") from exc
-
-
 def parse_lex_spec(text: str) -> LexSpec:
     """Parse a lexical spec file into a LexSpec; raises SpecError on the first problem."""
     token_defs: list[TokenDef] = []
     ignore_defs: list[IgnoreDef] = []
-    seen_names: dict[str, int] = {}
     ordinal = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -156,33 +157,22 @@ def parse_lex_spec(text: str) -> LexSpec:
             if len(parts) != 4:
                 raise SpecError(lineno, "expected 'token NAME PRIORITY /REGEX/'")
             _, name, prio_text, rest = parts
-            if not _NAME.match(name):
-                raise SpecError(lineno, f"bad token name {name!r}")
             try:
                 priority = int(prio_text)
             except ValueError:
                 raise SpecError(lineno, f"priority must be an integer, got {prio_text!r}")
-            if priority < 1:
-                raise SpecError(lineno, f"priority must be >= 1, got {priority}")
-            if name in seen_names:
-                raise SpecError(lineno, f"duplicate token name {name!r} (first defined on line {seen_names[name]})")
-            d = TokenDef(name, priority, _take_regex(rest, lineno), ordinal, lineno)
-            _compile_checked(d)
-            seen_names[name] = lineno
-            token_defs.append(d)
+            token_defs.append(TokenDef(name, priority, _take_regex(rest, lineno), ordinal, lineno))
         elif keyword == "ignore":
             parts = line.split(None, 1)
             if len(parts) != 2:
                 raise SpecError(lineno, "expected 'ignore /REGEX/'")
-            d = IgnoreDef(_take_regex(parts[1], lineno), ordinal, lineno)
-            _compile_checked(d)
-            ignore_defs.append(d)
+            ignore_defs.append(IgnoreDef(_take_regex(parts[1], lineno), ordinal, lineno))
         else:
             raise SpecError(lineno, f"unrecognized directive {keyword!r}")
         ordinal += 1
-    if not token_defs:
-        raise SpecError(1, "no token definitions")
-    return LexSpec(tuple(token_defs), tuple(ignore_defs))
+    spec = LexSpec(tuple(token_defs), tuple(ignore_defs))
+    _raise_first(_spec_diagnostics(spec))
+    return spec
 
 
 def _escape_slashes(source: str) -> str:
@@ -236,8 +226,6 @@ def parse_grammar(text: str, spec: LexSpec) -> Grammar:
             raise SpecError(lineno, f"bad rule name {lhs!r}")
         for alternative in rhs_text.split("|"):
             symbols = alternative.split()
-            if not symbols:
-                raise SpecError(lineno, f"empty rhs in rule for {lhs!r}")
             for sym in symbols:
                 if not _NAME.match(sym):
                     raise SpecError(lineno, f"bad symbol {sym!r}")
@@ -245,31 +233,34 @@ def parse_grammar(text: str, spec: LexSpec) -> Grammar:
     if not rules:
         raise SpecError(1, "no grammar rules")
     grammar = Grammar(tuple(rules), start if start is not None else rules[0].lhs)
-    problems = _grammar_diagnostics(grammar, spec)
-    if problems:
-        first = problems[0]
-        raise SpecError(first.line, first.message)
+    _raise_first(_grammar_diagnostics(grammar, spec))
     return grammar
 
 
+def _raise_first(problems: list[Diagnostic]) -> None:
+    if problems:
+        raise SpecError(problems[0].line, problems[0].message)
+
+
 def _spec_diagnostics(spec: LexSpec) -> list[Diagnostic]:
+    """Every spec problem, in definition order, so the first is the earliest line."""
     out: list[Diagnostic] = []
-    if not spec.token_defs:
-        out.append(Diagnostic(1, "no token definitions"))
-    seen: dict[str, TokenDef] = {}
-    for d in spec.token_defs:
-        if not _NAME.match(d.name):
-            out.append(Diagnostic(d.line, f"bad token name {d.name!r}"))
-        if d.priority < 1:
-            out.append(Diagnostic(d.line, f"priority must be >= 1, got {d.priority}"))
-        if d.name in seen:
-            out.append(Diagnostic(d.line, f"duplicate token name {d.name!r}"))
-        seen[d.name] = d
-    for d in (*spec.token_defs, *spec.ignore_defs):
+    first_line: dict[str, int] = {}
+    for d in sorted([*spec.token_defs, *spec.ignore_defs], key=lambda d: d.ordinal):
+        if isinstance(d, TokenDef):
+            if not _NAME.match(d.name):
+                out.append(Diagnostic(d.line, f"bad token name {d.name!r}"))
+            if d.priority < 1:
+                out.append(Diagnostic(d.line, f"priority must be >= 1, got {d.priority}"))
+            if d.name in first_line:
+                out.append(Diagnostic(d.line, f"duplicate token name {d.name!r} (first defined on line {first_line[d.name]})"))
+            first_line.setdefault(d.name, d.line)
         try:
-            d.compiled
+            d.compiled  # compiles the pattern once and keeps it for scanning
         except pattern.PatternError as exc:
             out.append(Diagnostic(d.line, f"bad pattern: {exc}"))
+    if not spec.token_defs:
+        out.append(Diagnostic(1, "no token definitions"))
     return out
 
 

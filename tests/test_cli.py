@@ -66,6 +66,16 @@ def test_sequences_limit_warns_when_truncated(files, capsys):
     assert "truncated" in err
 
 
+def test_bad_limit_is_rejected_before_the_input_is_scanned(files, capsys):
+    gappy = files["dir"] / "gappy.txt"
+    gappy.write_text("&5.2& ?? /25.20/", encoding="utf-8")
+    code = run(["sequences", "--spec", files["spec"], "--input", str(gappy), "--limit", "0"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "lamb: error: --limit must be >= 1\n"
+
+
 def test_sequences_json(files, capsys):
     code = run([
         "sequences", "--spec", files["spec"], "--input", files["input"], "--format", "json",

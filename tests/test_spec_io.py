@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from lamb import (
@@ -64,6 +66,12 @@ def test_escaped_slash_inside_pattern():
         ("token A 1\n", 1, "expected"),
         ("frobnicate /a/\n", 1, "unrecognized directive"),
         ("token A 1 /a/\nignore\n", 2, "expected"),
+        # a syntax error anywhere is reported before a semantic error
+        ("token 9A 1 /a/\ntoken B 1 /b/\ntoken C 1 /c\n", 3, "unterminated"),
+        # otherwise the earliest definition wins, ignores included
+        ("token A 1 /a/\nignore /(/\ntoken A 1 /b/\n", 2, "bad pattern"),
+        ("ignore /(/\n", 1, "bad pattern"),
+        ("token A 1 /a/\ntoken B 1 /b/\ntoken A 1 /c/\n", 3, "(first defined on line 1)"),
     ],
 )
 def test_spec_errors_carry_line_numbers(text, line, needle):
@@ -121,11 +129,31 @@ def test_grammar_alternatives_expand_in_order(numbers_spec):
         ("start A\nstart B\nA ::= Real\nB ::= Real\n", "duplicate start"),
         ("", "no grammar rules"),
         ("E = Real\n", "expected"),
+        ("9E ::= Real\n", "bad rule name"),
+        ("E ::= Real 9x\n", "bad symbol"),
     ],
 )
 def test_grammar_errors(numbers_spec, text, needle):
     with pytest.raises(SpecError) as excinfo:
         parse_grammar(text, numbers_spec)
+    assert needle in excinfo.value.message
+
+
+@pytest.mark.parametrize(
+    "text,line,needle",
+    [
+        ("E ::= Real\nE ::= Real |\n", 2, "empty rhs"),
+        # a syntax error anywhere is reported before a semantic error
+        ("E ::= Foo\nA ::= Real\nB = Real\n", 3, "expected"),
+        ("E ::= Foo\nA ::= Real\nB ::= Real 9x\n", 3, "bad symbol"),
+        # otherwise the earliest rule wins
+        ("E ::= A\nA ::= Foo\nA ::= Real |\n", 2, "undefined symbol"),
+    ],
+)
+def test_grammar_errors_carry_line_numbers(numbers_spec, text, line, needle):
+    with pytest.raises(SpecError) as excinfo:
+        parse_grammar(text, numbers_spec)
+    assert excinfo.value.line == line
     assert needle in excinfo.value.message
 
 
@@ -153,6 +181,27 @@ def test_validate_reports_everything_at_once():
     assert any(">= 1" in m for m in messages)
     assert any("duplicate" in m for m in messages)
     assert sum("bad pattern" in m for m in messages) == 2
+
+
+def test_validate_lists_spec_problems_in_definition_order():
+    spec = LexSpec(
+        (
+            TokenDef("A", 1, "a", 0, line=1),
+            TokenDef("A", 0, "b", 2, line=3),
+            TokenDef("A", 1, "c", 3, line=4),
+        ),
+        (IgnoreDef("(", 1, line=2),),
+    )
+    diags = validate(spec)
+    assert [d.line for d in diags] == [2, 3, 3, 4]
+    assert diags[0].message.startswith("bad pattern: ")
+    assert [d.message for d in diags[1:]] == [
+        "priority must be >= 1, got 0",
+        "duplicate token name 'A' (first defined on line 1)",
+        "duplicate token name 'A' (first defined on line 1)",
+    ]
+    no_tokens = validate(LexSpec((), (IgnoreDef("(", 0, line=1),)))
+    assert [d.message.split(":")[0] for d in no_tokens] == ["bad pattern", "no token definitions"]
 
 
 def test_validate_programmatic_grammar():
@@ -198,3 +247,50 @@ def test_long_unit_rule_chain_closed_into_a_cycle(numbers_spec):
     cycle = " -> ".join(f"N{k}" for k in range(3000))
     assert excinfo.value.line == 1
     assert excinfo.value.message == f"unit-production cycle: {cycle} -> N0"
+
+
+# Line generators for the fuzz tests below.  Valid pieces outnumber broken
+# ones, so that enough drawn files (about one in seven) are accepted for the
+# accepted branch to be exercised too.
+_SPEC_LINES = st.one_of(
+    st.builds(
+        "token {} {} {}".format,
+        st.sampled_from(["A", "B", "C", "_b1", "A", "B", "9A"]),
+        st.sampled_from(["1", "2", "+1", "01", "1", "2", "0", "x"]),
+        st.sampled_from(["/a/", "/[0-9]+/", "/a|b/", r"/\//", "/a/ # c", "/b*a/", "/[^a]/", "/(a/", "/a", "/a/ x"]),
+    ),
+    st.builds("ignore {}".format, st.sampled_from(["/ +/", "/\\t+/", "/ +/", "/(a/", ""])),
+    st.sampled_from(["", "# comment", "token", "token A 1 /a/", "frobnicate /a/"]),
+)
+
+_GRAMMAR_SYMBOLS = st.sampled_from(["Real", "Real", "Integer", "Point", "E", "S", "Foo", "9x"])
+_GRAMMAR_LINES = st.one_of(
+    st.builds(
+        "{} ::= {}".format,
+        st.sampled_from(["E", "E", "S", "S", "Real", "9E"]),
+        st.lists(st.lists(_GRAMMAR_SYMBOLS, min_size=1, max_size=3).map(" ".join), min_size=1, max_size=3)
+        .map(" | ".join),
+    ),
+    st.sampled_from(["", "# comment", "start E", "start S", "start", "start 9E", "E = Real", "E ::= Real |"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SPEC_LINES, max_size=4).map("\n".join))
+def test_fuzzed_specs_raise_only_spec_error_and_accepted_ones_validate(text):
+    try:
+        spec = parse_lex_spec(text)
+    except SpecError:
+        return
+    assert validate(spec) == []
+    assert parse_lex_spec(render_lex_spec(spec)) == spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(_GRAMMAR_LINES, max_size=4).map("\n".join))
+def test_fuzzed_grammars_raise_only_spec_error_and_accepted_ones_validate(numbers_spec, text):
+    try:
+        grammar = parse_grammar(text, numbers_spec)
+    except SpecError:
+        return
+    assert validate(numbers_spec, grammar) == []
