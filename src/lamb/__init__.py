@@ -77,6 +77,7 @@ __all__ = [
     "parse",
     "parse_grammar",
     "parse_lex_spec",
+    "render_lex_spec",
     "render_tokens_text",
     "render_trees",
     "scan",

@@ -14,6 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from json.encoder import encode_basestring as _json_string
 from operator import attrgetter
 
 from .scanner import ScanResult, Token
@@ -162,23 +163,17 @@ def to_dot(g: LexGraph) -> str:
 
 
 def to_json(g: LexGraph) -> str:
-    payload = {
-        "input_length": g.input_length,
-        "tokens": [
-            {
-                "id": t.id,
-                "type": t.type_name,
-                "text": t.text,
-                "start": t.start,
-                "end": t.end,
-                "preceding": list(g.preceding[t.id]),
-                "following": list(g.following[t.id]),
-            }
-            for t in g.tokens
-        ],
-        "start": list(g.start_set),
-    }
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    """Compact JSON, written directly: the same bytes as ``json.dumps`` of
+    the payload with ``ensure_ascii=False`` and no spaces."""
+    following, preceding = g.following, g.preceding
+    records = ",".join(
+        f'{{"id":{t.id},"type":{_json_string(t.type_name)},"text":{_json_string(t.text)},'
+        f'"start":{t.start},"end":{t.end},"preceding":[{",".join(map(str, preceding[t.id]))}],'
+        f'"following":[{",".join(map(str, following[t.id]))}]}}'
+        for t in g.tokens
+    )
+    start = ",".join(map(str, g.start_set))
+    return f'{{"input_length":{g.input_length},"tokens":[{records}],"start":[{start}]}}'
 
 
 def graph_from_json(text: str) -> LexGraph:

@@ -13,9 +13,16 @@ reachable so far, and its transition on a character is computed the first
 time that character is seen there, then kept.  A query therefore costs one
 dict lookup per character once the states it visits exist, and never more
 than one subset step per character, so it stays linear in the remaining
-input regardless of the pattern.  Each pattern keeps at most
-``_DFA_CACHE_LIMIT`` states; past that the cache is emptied and rebuilt on
-demand, so memory stays bounded on patterns whose full DFA is exponential.
+input regardless of the pattern.
+
+`union` puts several patterns, the matchers, into one `Automaton`: their NFA
+states share one numbering, and each DFA state records which matchers accept
+in it.  One walk from a position then gives the longest match of every
+matcher the query names, which is how the scanner tries a whole spec at once.
+A `Pattern` is the one-matcher case of the same automaton.  Each automaton
+keeps at most ``_DFA_CACHE_LIMIT`` states; past that its cache is emptied and
+rebuilt on demand, so memory stays bounded on patterns whose full DFA is
+exponential.
 
 Matching is anchored at the query position, every alternation branch
 competes, and the longest hit wins.  Zero-length matches are never reported.
@@ -23,7 +30,7 @@ competes, and the longest hit wins.  Zero-length matches are never reported.
 
 from __future__ import annotations
 
-__all__ = ["Pattern", "PatternError", "compile"]
+__all__ = ["Automaton", "Pattern", "PatternError", "compile", "union"]
 
 _ESCAPES = {
     ".": ".", "/": "/", "\\": "\\", "+": "+", "-": "-", "*": "*", "?": "?",
@@ -48,62 +55,61 @@ def _label_matches(label: tuple, ch: str) -> bool:
     if kind == "any":
         return ch != "\n"
     # ("set", ranges, negated)
-    hit = any(lo <= ch <= hi for lo, hi in label[1])
-    return hit != label[2]
+    for lo, hi in label[1]:
+        if lo <= ch <= hi:
+            return not label[2]
+    return label[2]
 
 
-_DFA_CACHE_LIMIT = 4096  # DFA states kept per pattern before the cache is emptied
+_DFA_CACHE_LIMIT = 4096  # DFA states kept per automaton before its cache is emptied
 
 
 class _DState:
     """One DFA state: a set of NFA states and its transitions found so far."""
 
-    __slots__ = ("nfa", "accepting", "next")
+    __slots__ = ("nfa", "accepts", "next")
 
-    def __init__(self, nfa: frozenset[int], accepting: bool):
+    def __init__(self, nfa: frozenset[int], accepts: tuple[int, ...]):
         self.nfa = nfa
-        self.accepting = accepting
+        self.accepts = accepts  # matchers whose accept state is in ``nfa``, ascending
         self.next: dict[str, _DState | bool] = {}  # False: the empty set, no match beyond
 
 
-class Pattern:
-    """Compiled recognizer for one pattern; safe to share.
+class Automaton:
+    """A DFA built lazily over the Thompson NFAs of one or more matchers.
 
-    The NFA is immutable.  The lazily built DFA (``_dfa``, keyed by NFA state
-    set, and ``_start``) is a cache: it only ever gains states that are equal
-    by content to ones it could have built, or is emptied, so answers never
-    depend on earlier queries.  `compile` builds no DFA state.
+    A query names the matchers it wants by a bitmask, ``live`` (bit ``k`` for
+    matcher ``k``); its start state, over the union of their start closures,
+    is kept in ``_starts``.  ``_dfa`` maps each NFA state set to its DFA
+    state.  Both are caches that only gain states equal by content to ones
+    they could have built, or are emptied together past ``_DFA_CACHE_LIMIT``
+    states, so answers never depend on earlier queries.
     """
 
-    __slots__ = ("source", "_edges", "_closures", "_start_closure", "_accept", "_dfa", "_start")
+    __slots__ = ("_edges", "_closures", "_start_closures", "_accepting", "_dfa", "_starts")
 
-    def __init__(self, source, edges, closures, start, accept):
-        self.source = source
+    def __init__(self, edges, closures, start_closures, accepting):
         self._edges = edges
         self._closures = closures
-        self._start_closure = closures[start]
-        self._accept = accept
+        self._start_closures = start_closures  # per matcher
+        self._accepting = accepting  # NFA accept state -> its matcher
         self._dfa: dict[frozenset[int], _DState] = {}
-        self._start: _DState | None = None
+        self._starts: dict[int, _DState] = {}
 
-    def __repr__(self) -> str:
-        return f"Pattern({self.source!r})"
+    def longest_at(self, text: str, pos: int, live: int) -> list[tuple[int, int]] | tuple[()]:
+        """``(k, length)`` of the longest match at ``pos`` of each matcher ``k`` in ``live``.
 
-    def match_longest_at(self, text: str, pos: int) -> int | None:
-        """Length of the longest match anchored exactly at ``pos``, or None.
-
-        Returns None when nothing (or only the empty string) matches; a
-        reported length is always >= 1.
+        One walk serves every matcher: it runs until no live matcher can
+        extend its match.  Pairs come in ascending ``k``; matchers with no
+        match of length >= 1 are left out.
         """
+        state = self._starts.get(live) or self._start_state(live)
         n = len(text)
-        if not 0 <= pos <= n:
-            raise ValueError(f"position {pos} outside input of length {n}")
-        state = self._start
-        if state is None:
-            state = self._start = self._intern(self._start_closure)
-        end = pos
         i = pos
-        while i < n:  # most queries stop within two characters: skip building a range
+        accepts = ()  # the matchers accepting at ``end``, the latest accepting offset
+        end = pos
+        earlier = None  # (accepts, end) of earlier accepting stretches
+        while i < n:  # most walks stop within two characters: skip building a range
             nxt = state.next.get(text[i])
             if not nxt:  # None: not computed yet; False: no NFA state left
                 if nxt is None:
@@ -112,9 +118,31 @@ class Pattern:
                     break
             i += 1
             state = nxt
-            if state.accepting:
+            if state.accepts:
+                if state.accepts != accepts:
+                    if accepts:
+                        if earlier is None:
+                            earlier = []
+                        earlier.append((accepts, end))
+                    accepts = state.accepts
                 end = i
-        return end - pos or None
+        if earlier is None:
+            if len(accepts) == 1:
+                return [(accepts[0], end - pos)]
+            return [(k, end - pos) for k in accepts] if accepts else ()
+        ends = dict.fromkeys(accepts, end)
+        for earlier_accepts, earlier_end in reversed(earlier):
+            for k in earlier_accepts:
+                if k not in ends:
+                    ends[k] = earlier_end
+        return sorted((k, e - pos) for k, e in ends.items())
+
+    def _start_state(self, live: int) -> _DState:
+        nfa = frozenset().union(
+            *(c for k, c in enumerate(self._start_closures) if live >> k & 1)
+        )
+        state = self._starts[live] = self._intern(nfa)
+        return state
 
     def _intern(self, nfa: frozenset[int]) -> _DState:
         state = self._dfa.get(nfa)
@@ -122,8 +150,10 @@ class Pattern:
             if len(self._dfa) >= _DFA_CACHE_LIMIT:
                 # Old states stay reachable only from a query still running.
                 self._dfa.clear()
-                self._start = None
-            state = self._dfa[nfa] = _DState(nfa, self._accept in nfa)
+                self._starts.clear()
+            accepting = self._accepting
+            accepts = tuple(sorted(accepting[s] for s in nfa if s in accepting))
+            state = self._dfa[nfa] = _DState(nfa, accepts)
         return state
 
     def _step(self, state: _DState, ch: str) -> _DState | bool:
@@ -140,9 +170,63 @@ class Pattern:
         return nxt
 
 
+class Pattern(Automaton):
+    """Compiled recognizer for one pattern, the one-matcher automaton; safe to share.
+
+    The NFA (``_edges``, ``_closures``, ``_start_closure``, ``_accept``) is
+    immutable.  `compile` builds no DFA state.
+    """
+
+    __slots__ = ("source", "_start_closure", "_accept")
+
+    def __init__(self, source, edges, closures, start, accept):
+        super().__init__(edges, closures, (closures[start],), {accept: 0})
+        self.source = source
+        self._start_closure = closures[start]
+        self._accept = accept
+
+    def __repr__(self) -> str:
+        return f"Pattern({self.source!r})"
+
+    @property
+    def _start(self) -> _DState | None:
+        """The DFA start state, once built."""
+        return self._starts.get(1)
+
+    def match_longest_at(self, text: str, pos: int) -> int | None:
+        """Length of the longest match anchored exactly at ``pos``, or None.
+
+        Returns None when nothing (or only the empty string) matches; a
+        reported length is always >= 1.
+        """
+        n = len(text)
+        if not 0 <= pos <= n:
+            raise ValueError(f"position {pos} outside input of length {n}")
+        hit = self.longest_at(text, pos, 1)
+        return hit[0][1] if hit else None
+
+
+def union(patterns: list[Pattern]) -> Automaton:
+    """One automaton whose matcher ``k`` is ``patterns[k]``; builds no DFA state."""
+    edges: list[tuple] = []
+    closures: list[frozenset[int]] = []
+    start_closures = []
+    accepting = {}
+    for k, p in enumerate(patterns):
+        base = len(edges)
+        edges += [tuple((label, t + base) for label, t in out) for out in p._edges]
+        closures += [frozenset(s + base for s in c) for c in p._closures]
+        start_closures.append(frozenset(s + base for s in p._start_closure))
+        accepting[p._accept + base] = k
+    return Automaton(edges, closures, tuple(start_closures), accepting)
+
+
 def _epsilon_closures(eps: list[list[int]]) -> list[frozenset[int]]:
     closures = []
     for s in range(len(eps)):
+        if not eps[s]:  # about half the states of a Thompson NFA
+            closures.append(frozenset((s,)))
+            continue
         seen = {s}
         stack = [s]
         while stack:

@@ -13,20 +13,26 @@ any other matcher's watermark falling inside the match; matchers of strictly
 lower precedence are dragged forward to the same offset.  That is what keeps,
 say, a keyword's characters from re-matching as an identifier suffix while
 still letting genuinely overlapping alternatives coexist.
+
+The matching itself is one walk per position of the spec's automaton
+(`LexSpec.automaton`, built by the first scan), started from the matchers
+whose watermark lies below the position.  That walk gives the longest match
+of each of them at once; the precedence and watermark rules above then run
+over those lengths.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spec_io import LexSpec
 
 __all__ = ["ScanResult", "Token", "render_tokens_text", "scan", "uncovered_spans"]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     id: int
     type_name: str
     text: str
@@ -51,35 +57,47 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     precedence), with ids assigned sequentially from 0.  Characters nothing
     matches are simply passed over; `uncovered_spans` reports them.
     """
-    entries = [(d.priority, d.ordinal, d.name, d.compiled) for d in spec.token_defs]
-    entries += [(0, d.ordinal, None, d.compiled) for d in spec.ignore_defs]
-    entries.sort(key=lambda e: e[:2])  # precedence order; priority 0 = ignored
-    # Per matcher, in that order: priority, token name, bound match method,
-    # watermark, and where its suffix of strictly lower precedence starts.
-    priorities = [e[0] for e in entries]
-    names = [e[2] for e in entries]
-    matches = [e[3].match_longest_at for e in entries]
-    marks = [-1] * len(entries)
+    defs = spec.by_precedence  # matcher k is defs[k], in precedence order
+    longest_at = spec.automaton.longest_at
+    # Per matcher: priority (0 = ignored), token name, watermark, and where
+    # its suffix of strictly lower precedence starts.
+    priorities = [d.priority for d in defs]
+    names = [d.name if d.priority else None for d in defs]
+    m = len(defs)
+    marks = [-1] * m
     lower = [bisect_right(priorities, p) for p in priorities]
+    # Bits of the matchers a match of matcher k moves past i: itself and
+    # its lower-precedence suffix.
+    moved = [1 << k | ((1 << m) - (1 << lower[k])) for k in range(m)]
     tokens: list[Token] = []
     ignored: list[tuple[int, int]] = []
+    all_live = live = (1 << m) - 1  # live: the matchers whose watermark is below i
+    wake_at: dict[int, int] = {}  # offset -> matchers whose watermark was set just before it
     for i in range(len(text)):
-        for k, match in enumerate(matches):
+        woken = wake_at.pop(i, 0)
+        while woken:  # skip matchers whose watermark has since moved to i or beyond
+            bit = woken & -woken
+            if marks[bit.bit_length() - 1] < i:
+                live |= bit
+            woken ^= bit
+        if not live:
+            continue
+        for k, length in longest_at(text, i, live):
             if marks[k] >= i:
-                continue
-            length = match(text, i)
-            if length is None:
-                continue
+                continue  # dragged past i by a match of higher precedence
             end = i + length - 1
             new_mark = end
-            for mark in marks:
-                if i <= mark < new_mark:
-                    new_mark = mark
+            if live != all_live:  # else no watermark is at or past i
+                for mark in marks:
+                    if i <= mark < new_mark:
+                        new_mark = mark
             marks[k] = new_mark
             # Dragging the lower-precedence suffix to new_mark >= i also
             # keeps it from matching at i.
             j = lower[k]
-            marks[j:] = [new_mark] * (len(marks) - j)
+            marks[j:] = [new_mark] * (m - j)
+            live &= ~moved[k]
+            wake_at[new_mark + 1] = wake_at.get(new_mark + 1, 0) | moved[k]
             if priorities[k] >= 1:
                 tokens.append(Token(len(tokens), names[k], text[i:end + 1], i, end))
             else:
@@ -91,23 +109,15 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
 
 def uncovered_spans(result: ScanResult) -> list[tuple[int, int]]:
     """Maximal input spans covered by no token and no ignored match."""
-    covered = bytearray(result.input_length)
-    for t in result.tokens:
-        for k in range(t.start, t.end + 1):
-            covered[k] = 1
-    for s, e in result.ignored:
-        for k in range(s, e + 1):
-            covered[k] = 1
     spans = []
-    run_start = None
-    for k, flag in enumerate(covered):
-        if not flag and run_start is None:
-            run_start = k
-        elif flag and run_start is not None:
-            spans.append((run_start, k - 1))
-            run_start = None
-    if run_start is not None:
-        spans.append((run_start, result.input_length - 1))
+    covered_to = 0  # every offset below it is covered or already reported
+    for start, end in sorted([*((t.start, t.end) for t in result.tokens), *result.ignored]):
+        if start > covered_to:
+            spans.append((covered_to, start - 1))
+        if end >= covered_to:
+            covered_to = end + 1
+    if covered_to < result.input_length:
+        spans.append((covered_to, result.input_length - 1))
     return spans
 
 

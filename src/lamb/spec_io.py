@@ -5,10 +5,10 @@ Lexical spec (UTF-8, line based)::
     token <NAME> <PRIORITY> /<REGEX>/
     ignore /<REGEX>/
 
-PRIORITY is a decimal integer >= 1 (lower value wins at a shared start
-position; ignored patterns act at priority 0).  The regex is delimited by
-unescaped slashes, so ``\\/`` stands for a slash inside.  ``#`` starts a
-comment, blank lines are skipped.
+PRIORITY is an integer >= 1 in ASCII decimal digits (lower value wins at a
+shared start position; ignored patterns act at priority 0).  The regex is
+delimited by unescaped slashes, so ``\\/`` stands for a slash inside.  ``#``
+starts a comment, blank lines are skipped.
 
 Grammar (UTF-8, line based)::
 
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_INTEGER = re.compile(r"-?[0-9]+\Z")  # ASCII digits only, unlike int()
 
 
 class SpecError(ValueError):
@@ -62,21 +63,38 @@ class Diagnostic:
     message: str
 
 
-class _CompiledPattern:
-    """``d.compiled``: ``d.pattern_source`` compiled on first use and kept on ``d``.
+class _cached:
+    """A cached property written out by hand: the method runs on first use and
+    its result is kept in the instance ``__dict__``, which also works on a
+    frozen dataclass and never takes part in its comparisons.
 
-    For a parsed spec that use is while validating; `scan` reuses the result.
-
-    A cached property written out by hand: `functools.cached_property` takes a
-    lock and re-checks its cache on every first access (Python 3.11), which
-    added about 5% to loading the numbers spec and grammar.
+    `functools.cached_property` takes a lock and re-checks its cache on every
+    first access (Python 3.11), which added about 5% to loading the numbers
+    spec and grammar.
     """
 
-    def __get__(self, d, owner=None) -> pattern.Pattern:
-        if d is None:
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
             return self
-        d.__dict__["compiled"] = compiled = pattern.compile(d.pattern_source)
-        return compiled
+        obj.__dict__[self.name] = value = self.build(obj)
+        return value
+
+
+@_cached
+def _compiled(d) -> pattern.Pattern:
+    """``d.pattern_source`` compiled on first use and kept on ``d``.
+
+    For a parsed spec that use is while validating; the spec's automaton
+    reuses the result.
+    """
+    return pattern.compile(d.pattern_source)
 
 
 @dataclass(frozen=True)
@@ -86,7 +104,7 @@ class TokenDef:
     pattern_source: str
     ordinal: int
     line: int = field(default=0, compare=False)
-    compiled = _CompiledPattern()
+    compiled = _compiled
 
 
 @dataclass(frozen=True)
@@ -94,13 +112,26 @@ class IgnoreDef:
     pattern_source: str
     ordinal: int
     line: int = field(default=0, compare=False)
-    compiled = _CompiledPattern()
+    priority = 0  # ignored patterns act at priority 0; not a field
+    compiled = _compiled
 
 
 @dataclass(frozen=True)
 class LexSpec:
     token_defs: tuple[TokenDef, ...]
     ignore_defs: tuple[IgnoreDef, ...]
+
+    @_cached
+    def by_precedence(self) -> tuple[TokenDef | IgnoreDef, ...]:
+        """Every definition in scanning order: priority ascending, ignored
+        patterns first at priority 0, then definition order."""
+        return tuple(sorted([*self.token_defs, *self.ignore_defs], key=lambda d: (d.priority, d.ordinal)))
+
+    @_cached
+    def automaton(self) -> pattern.Automaton:
+        """One lazily built DFA over every pattern, matcher ``k`` being
+        ``by_precedence[k]``.  Built on first use, which is the first `scan`."""
+        return pattern.union([d.compiled for d in self.by_precedence])
 
 
 @dataclass(frozen=True)
@@ -117,6 +148,7 @@ class GrammarRule:
 class Grammar:
     rules: tuple[GrammarRule, ...]
     start_symbol: str
+    start_line: int = field(default=1, compare=False)  # of the ``start`` directive, if any
 
 
 def _take_regex(rest: str, lineno: int) -> str:
@@ -157,10 +189,9 @@ def parse_lex_spec(text: str) -> LexSpec:
             if len(parts) != 4:
                 raise SpecError(lineno, "expected 'token NAME PRIORITY /REGEX/'")
             _, name, prio_text, rest = parts
-            try:
-                priority = int(prio_text)
-            except ValueError:
+            if not _INTEGER.match(prio_text):
                 raise SpecError(lineno, f"priority must be an integer, got {prio_text!r}")
+            priority = int(prio_text)
             token_defs.append(TokenDef(name, priority, _take_regex(rest, lineno), ordinal, lineno))
         elif keyword == "ignore":
             parts = line.split(None, 1)
@@ -232,7 +263,10 @@ def parse_grammar(text: str, spec: LexSpec) -> Grammar:
             rules.append(GrammarRule(lhs, tuple(symbols), lineno))
     if not rules:
         raise SpecError(1, "no grammar rules")
-    grammar = Grammar(tuple(rules), start if start is not None else rules[0].lhs)
+    if start is None:
+        grammar = Grammar(tuple(rules), rules[0].lhs)
+    else:
+        grammar = Grammar(tuple(rules), start, start_line)
     _raise_first(_grammar_diagnostics(grammar, spec))
     return grammar
 
@@ -307,7 +341,7 @@ def _grammar_diagnostics(grammar: Grammar, spec: LexSpec) -> list[Diagnostic]:
             if sym not in token_names and sym not in lhs_names:
                 out.append(Diagnostic(r.line, f"undefined symbol {sym!r}"))
     if grammar.start_symbol not in lhs_names:
-        out.append(Diagnostic(1, f"start symbol {grammar.start_symbol!r} has no rule"))
+        out.append(Diagnostic(grammar.start_line, f"start symbol {grammar.start_symbol!r} has no rule"))
     cycle = _unit_cycle(grammar.rules, lhs_names - token_names)
     if cycle:
         line = next((r.line for r in grammar.rules if r.lhs == cycle[0]), 1)

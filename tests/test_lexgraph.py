@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -191,6 +192,35 @@ def test_json_schema_and_round_trip(numbers_graph):
 
 def test_json_empty_graph():
     assert to_json(build_graph(_intervals([]))) == '{"input_length":0,"tokens":[],"start":[]}'
+
+
+def _json_by_dumps(g):
+    """Reference: the payload through ``json.dumps``."""
+    payload = {
+        "input_length": g.input_length,
+        "tokens": [
+            {"id": t.id, "type": t.type_name, "text": t.text, "start": t.start, "end": t.end,
+             "preceding": list(g.preceding[t.id]), "following": list(g.following[t.id])}
+            for t in g.tokens
+        ],
+        "start": list(g.start_set),
+    }
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+
+
+def test_json_matches_json_dumps_byte_for_byte(numbers_graph):
+    assert to_json(numbers_graph) == _json_by_dumps(numbers_graph)
+    rng = random.Random(20261021)
+    awkward = 'ab"\\/\n\t\r\x00\x1f\x7f\u00e9\u4e2d\U0001f600\u2028'
+    for _ in range(100):
+        result = support.random_interval_result(rng)
+        tokens = tuple(
+            t._replace(type_name=rng.choice(("T", 'Q"', "\u00e9")),
+                       text="".join(rng.choice(awkward) for _ in range(t.end - t.start + 1)))
+            for t in result.tokens
+        )
+        graph = build_graph(ScanResult(tokens, result.input_length))
+        assert to_json(graph) == _json_by_dumps(graph)
 
 
 def test_serialized_outputs_are_stable(numbers_scan):

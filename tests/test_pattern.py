@@ -236,3 +236,37 @@ def test_dfa_cache_is_bounded_and_answers_survive_flushes():
         assert p._start is None or p._dfa.get(p._start.nfa) is p._start
     assert cache.clears >= 1
     assert cache.largest == pattern._DFA_CACHE_LIMIT
+
+
+# --- one automaton over several patterns, and arbitrary pattern text ----------
+
+@pytest.mark.parametrize("cache_limit", [pattern._DFA_CACHE_LIMIT, 2])
+def test_union_walk_gives_every_live_matchers_longest_match(monkeypatch, cache_limit):
+    monkeypatch.setattr(pattern, "_DFA_CACHE_LIMIT", cache_limit)
+    rng = random.Random(20261019)
+    for _ in range(60):
+        patterns = [compile_pattern(support.random_pattern(rng)) for _ in range(rng.randint(1, 5))]
+        automaton = pattern.union(patterns)
+        text = support.random_input(rng, max_length=30)
+        for pos in range(len(text) + 1):
+            live = rng.randrange(1, 1 << len(patterns))
+            expected = []
+            for k, p in enumerate(patterns):
+                length = oracles.match_longest_oracle(p, text, pos)
+                if live >> k & 1 and length is not None:
+                    expected.append((k, length))
+            assert list(automaton.longest_at(text, pos, live)) == expected, (
+                [p.source for p in patterns], text, pos, live,
+            )
+        assert len(automaton._dfa) <= cache_limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from("()[]^-|*+?.\\/ntab&"), st.characters()), max_size=20))
+def test_compile_raises_only_pattern_error(source):
+    try:
+        p = compile_pattern(source)
+    except PatternError:
+        return
+    text = "ab" + source
+    assert p.match_longest_at(text, 0) == oracles.match_longest_oracle(p, text, 0)

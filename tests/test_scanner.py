@@ -1,8 +1,14 @@
 import random
+from itertools import groupby
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from lamb import parse_lex_spec, pattern, scan, scan_oracle, uncovered_spans
-from lamb.scanner import render_tokens_text
+from lamb.scanner import ScanResult, Token, render_tokens_text
 
 # (id, type, text, start, end) for "&5.2& /25.20/" under shared priorities.
 EXPECTED_NUMBERS_TOKENS = [
@@ -123,6 +129,21 @@ def test_ignore_dominates_its_position():
     assert result.ignored == ((2, 2),)
 
 
+def test_watermark_lowered_by_a_drag():
+    # IDENT matches "abc" at 0, then KW's "b" at 1 drags IDENT's watermark
+    # down from 2 to 1, so IDENT matches again at 2; that match's watermark
+    # keeps it from matching at 3 and 4.
+    spec = parse_lex_spec("token KW 1 /b/\ntoken IDENT 2 /[a-z]([a-z][a-z]?)?/\n")
+    result = scan(spec, "abcdefgh")
+    assert _tuples(result) == [
+        (0, "IDENT", "abc", 0, 2),
+        (1, "KW", "b", 1, 1),
+        (2, "IDENT", "cde", 2, 4),
+        (3, "IDENT", "fgh", 5, 7),
+    ]
+    assert result == scan_oracle(spec, "abcdefgh")
+
+
 def test_unmatched_characters_are_skipped_and_reported():
     spec = parse_lex_spec(support.numbers_spec_text())
     result = scan(spec, "&z5")
@@ -137,6 +158,28 @@ def test_uncovered_spans_merge_runs():
     spec = parse_lex_spec("token A 1 /a/\n")
     result = scan(spec, "zzaz")
     assert uncovered_spans(result) == [(0, 1), (3, 3)]
+
+
+def _uncovered_by_offset(result):
+    """Reference: test every offset against every span, then group the runs."""
+    spans = [*((t.start, t.end) for t in result.tokens), *result.ignored]
+    covered = [any(s <= k <= e for s, e in spans) for k in range(result.input_length)]
+    out = []
+    for flag, run in groupby(range(result.input_length), key=covered.__getitem__):
+        if not flag:
+            run = list(run)
+            out.append((run[0], run[-1]))
+    return out
+
+
+def test_uncovered_spans_match_a_per_offset_reference():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        tokens = support.random_interval_result(rng, max_tokens=8, field=30).tokens
+        ignored = sorted((s, s + rng.randint(0, 4)) for s in rng.sample(range(40), rng.randint(0, 4)))
+        length = max([t.end + 1 for t in tokens] + [e + 1 for _, e in ignored] + [rng.randint(0, 45)])
+        result = ScanResult(tokens, length, tuple(ignored))
+        assert uncovered_spans(result) == _uncovered_by_offset(result), result
 
 
 def test_scan_matches_oracle_on_fixture_corpus():
@@ -165,6 +208,55 @@ def test_scan_matches_oracle_on_random_cases():
         triples = [(t.type_name, t.start, t.end) for t in result.tokens]
         assert len(triples) == len(set(triples))
         assert [t.id for t in result.tokens] == list(range(len(result.tokens)))
+
+
+# Keyword and identifier patterns that overlap, plus random subset patterns.
+_OVERLAPPING_PATTERNS = ("if", "in", "fi", "b", "[a-z]+", "[a-i]+", "i[a-z]*", "[a-z]([a-z][a-z]?)?",
+                         "[0-9]+", "[0-9]+\\.[0-9]+", "\\.", "(a|b)*x", "a|ab", "b?a", " ")
+
+
+@st.composite
+def _scan_cases(draw):
+    lines = []
+    for j in range(draw(st.integers(1, 5))):
+        source = draw(st.one_of(st.sampled_from(_OVERLAPPING_PATTERNS),
+                                st.randoms(use_true_random=False).map(support.random_pattern)))
+        lines.append(f"token T{j} {draw(st.integers(1, 3))} /{source}/")
+    for _ in range(draw(st.integers(0, 2))):
+        ignore = draw(st.sampled_from(support._IGNORE_POOL))
+        lines.insert(draw(st.integers(0, len(lines))), f"ignore /{ignore}/")
+    return "\n".join(lines) + "\n", draw(st.text(alphabet="abfinx01.& \t", max_size=40))
+
+
+@pytest.mark.parametrize("cache_limit", [pattern._DFA_CACHE_LIMIT, 2])
+@settings(max_examples=150, deadline=None)
+@given(case=_scan_cases())
+def test_scan_matches_oracle_on_generated_specs(case, cache_limit):
+    spec_text, text = case
+    spec = parse_lex_spec(spec_text)
+    with mock.patch.object(pattern, "_DFA_CACHE_LIMIT", cache_limit):
+        assert scan(spec, text) == scan_oracle(spec, text)
+    assert len(spec.automaton._dfa) <= cache_limit
+
+
+def test_automaton_is_built_by_the_first_scan_and_kept():
+    spec = parse_lex_spec(support.numbers_spec_text())
+    assert "automaton" not in vars(spec)
+    scan(spec, support.NUMBERS_INPUT)
+    automaton = spec.automaton
+    assert automaton._dfa
+    scan(spec, "&1.2&")
+    assert spec.automaton is automaton
+
+
+def test_token_is_an_immutable_hashable_tuple():
+    t = Token(3, "Real", "5.2", 1, 3)
+    assert t == (3, "Real", "5.2", 1, 3)
+    assert hash(t) == hash((3, "Real", "5.2", 1, 3))
+    assert repr(t) == "Token(id=3, type_name='Real', text='5.2', start=1, end=3)"
+    assert str(t) == 'Real "5.2"@1-3'
+    with pytest.raises(AttributeError):
+        t.start = 0
 
 
 def test_scan_is_deterministic(numbers_spec):

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from lamb import (
     scan,
     validate,
 )
+import lamb
 from lamb import pattern
 
 
@@ -72,6 +75,11 @@ def test_escaped_slash_inside_pattern():
         ("token A 1 /a/\nignore /(/\ntoken A 1 /b/\n", 2, "bad pattern"),
         ("ignore /(/\n", 1, "bad pattern"),
         ("token A 1 /a/\ntoken B 1 /b/\ntoken A 1 /c/\n", 3, "(first defined on line 1)"),
+        # priorities are ASCII decimal integers, not whatever int() accepts
+        ("token A -1 /a/\n", 1, "priority must be >= 1, got -1"),
+        ("token A \u0661 /a/\n", 1, "priority must be an integer"),
+        ("token A 1_0 /a/\n", 1, "priority must be an integer"),
+        ("token A +1 /a/\n", 1, "priority must be an integer"),
     ],
 )
 def test_spec_errors_carry_line_numbers(text, line, needle):
@@ -148,6 +156,8 @@ def test_grammar_errors(numbers_spec, text, needle):
         ("E ::= Foo\nA ::= Real\nB ::= Real 9x\n", 3, "bad symbol"),
         # otherwise the earliest rule wins
         ("E ::= A\nA ::= Foo\nA ::= Real |\n", 2, "undefined symbol"),
+        # the start directive's own line
+        ("E ::= Real\n\n\nstart Q\n", 4, "start symbol 'Q' has no rule"),
     ],
 )
 def test_grammar_errors_carry_line_numbers(numbers_spec, text, line, needle):
@@ -294,3 +304,11 @@ def test_fuzzed_grammars_raise_only_spec_error_and_accepted_ones_validate(number
     except SpecError:
         return
     assert validate(numbers_spec, grammar) == []
+
+
+def test_all_public_names_are_exported_and_resolve():
+    public = {name for name, value in vars(lamb).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(lamb.__all__)
+    for name in lamb.__all__:
+        assert getattr(lamb, name) is not None
