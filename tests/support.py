@@ -287,8 +287,9 @@ def forest_accepted_trees(forest) -> set:
 
 # --- reference fixpoint parser ------------------------------------------------
 # A literal copy of the original fixpoint parser: adjacency by scanning every
-# token, candidates by walking the whole instance store.  The indexed parser
-# must build exactly the same forest, instance ids included.
+# token, candidates by walking the whole instance store, one instance per
+# derivation.  Packed by `pack_literal`, it must give exactly the nodes and
+# alternatives of the parser under test.
 
 def literal_follows(a, b, g) -> bool:
     if b.start <= a.end:
@@ -351,6 +352,52 @@ def literal_parse(g, grammar) -> ParseForest:
         if inst.type_name == grammar.start_symbol and _literal_spans_whole_input(inst, g)
     )
     return ParseForest(tuple(instances), accepted)
+
+
+def _literal_key(inst):
+    return inst.id if not inst.children else (inst.type_name, inst.start, inst.end)
+
+
+def pack_literal(forest) -> tuple[dict, set]:
+    """`literal_parse`'s forest packed by hand: ``(nodes, accepted)``.
+
+    ``nodes`` maps a token id to its ``(type, start, end, text)`` and a
+    ``(symbol, start, end)`` triple to the set of its alternatives, each a
+    ``(rule, child keys)`` pair; ``accepted`` is the set of accepted keys.
+    Instances that share a triple are merged, which is exact because the
+    parser's adjacency depends on offsets alone."""
+    instances = forest.instances
+    nodes: dict = {}
+    for inst in instances:
+        if not inst.children:
+            nodes[inst.id] = (inst.type_name, inst.start, inst.end, inst.text)
+            continue
+        alternative = (inst.rule, tuple(_literal_key(instances[c]) for c in inst.children))
+        nodes.setdefault(_literal_key(inst), set()).add(alternative)
+    return nodes, {_literal_key(instances[i]) for i in forest.accepted}
+
+
+def packed_view(forest) -> tuple[dict, set]:
+    """`parse`'s forest in the form `pack_literal` gives."""
+    return pack_literal(forest)
+
+
+def render_literal_trees(forest) -> str:
+    """`literal_parse`'s accepted instances as indented trees, in id order,
+    rendered recursively: the text `render_trees` must give when there is at
+    most one tree."""
+
+    def lines(iid, pad):
+        inst = forest.instances[iid]
+        if not inst.children:
+            return [f'{pad}{inst.type_name} "{inst.text}" [{inst.start}-{inst.end}]']
+        out = [f"{pad}{inst.type_name} [{inst.start}-{inst.end}]"]
+        for child in inst.children:
+            out += lines(child, pad + "  ")
+        return out
+
+    blocks = ["\n".join(lines(root, "")) for root in forest.accepted]
+    return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
 # --- numbers-list documents -----------------------------------------------------

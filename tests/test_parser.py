@@ -233,6 +233,17 @@ def _outputs(forest):
     return forest_to_json(forest), render_trees(forest), forest_to_dot(forest)
 
 
+def _same_forest(graph, grammar):
+    """Check `parse` against `support.literal_parse`: the same packed nodes,
+    alternatives and accepted nodes, and the same `render_trees` text when
+    there is at most one tree.  Returns the forest."""
+    forest, literal = parse(graph, grammar), support.literal_parse(graph, grammar)
+    assert support.packed_view(forest) == support.pack_literal(literal), (graph.tokens, grammar)
+    if len(literal.accepted) <= 1:
+        assert render_trees(forest) == support.render_literal_trees(literal), (graph.tokens, grammar)
+    return forest
+
+
 def test_extended_follows_matches_literal_definition():
     # Instances span several tokens or none, offsets fall inside tokens and in
     # ignored gaps, and half the graphs index their tokens out of start order.
@@ -258,8 +269,8 @@ def test_parse_matches_literal_parser_on_random_cases():
     for _ in range(300):
         result, grammar = support.random_parse_case(rng)
         graph = build_graph(result)
-        assert _outputs(parse(graph, grammar)) == _outputs(support.literal_parse(graph, grammar)), (
-            result, grammar)
+        forest = _same_forest(graph, grammar)
+        assert support.forest_accepted_trees(forest) == support.brute_accepted_trees(graph, grammar)
 
 
 def test_parse_matches_literal_parser_on_numbers_lists(numbers_spec):
@@ -267,9 +278,8 @@ def test_parse_matches_literal_parser_on_numbers_lists(numbers_spec):
     rng = random.Random(16)
     for groups in range(1, 17):
         graph = build_graph(scan(numbers_spec, support.numbers_list_input(rng, groups)))
-        forest = parse(graph, grammar)
+        forest = _same_forest(graph, grammar)
         assert len(forest.accepted) == 1
-        assert _outputs(forest) == _outputs(support.literal_parse(graph, grammar)), groups
 
 
 @pytest.mark.parametrize("text", ["a", "a   "])
@@ -300,8 +310,7 @@ def test_parse_tokens_sharing_a_start():
         GrammarRule("S", ("X", "Z", "P")), GrammarRule("S", ("Y", "P")),
         GrammarRule("P", ("X",)), GrammarRule("P", ("Y",)),
     ), "S")
-    forest = parse(graph, grammar)
-    assert _outputs(forest) == _outputs(support.literal_parse(graph, grammar))
+    forest = _same_forest(graph, grammar)
     assert support.forest_accepted_trees(forest) == {
         ("S", (0, 2, ("P", (3,)))), ("S", (0, 2, ("P", (4,)))),
         ("S", (1, ("P", (3,)))), ("S", (1, ("P", (4,)))),
@@ -317,8 +326,7 @@ def test_parse_takes_candidates_at_different_starts_in_id_order():
     grammar = Grammar((
         GrammarRule("S", ("Z", "N")), GrammarRule("N", ("X",)), GrammarRule("N", ("Y",)),
     ), "S")
-    forest = parse(graph, grammar)
-    assert _outputs(forest) == _outputs(support.literal_parse(graph, grammar))
+    forest = _same_forest(graph, grammar)
     assert [forest.instances[i].children for i in forest.accepted] == [(0, 3), (0, 4)]
 
 
@@ -326,10 +334,10 @@ def test_parse_graph_round_tripped_through_json(numbers_spec):
     grammar = parse_grammar(support.NUMBERS_LIST_GRAMMAR, numbers_spec)
     graph = build_graph(scan(numbers_spec, support.numbers_list_input(random.Random(5), 3)))
     loaded = graph_from_json(to_json(graph))
-    assert _outputs(parse(loaded, grammar)) == _outputs(parse(graph, grammar))
+    assert _outputs(parse(loaded, grammar)) == _outputs(_same_forest(graph, grammar))
 
 
-# --- semi-naive passes: each must build exactly the literal parser's forest ---
+# --- grammar shapes that stress the order in which derivations are found ---
 
 def _x_case(grammar_text, tokens):
     spec = parse_lex_spec("token x 1 /x/\n")
@@ -343,8 +351,31 @@ def _x_case(grammar_text, tokens):
     ("E ::= E E | x\n", 7),       # ambiguous: Catalan(n-1) readings per span
 ])
 def test_semi_naive_parse_matches_literal_parser(grammar_text, tokens):
-    graph, grammar = _x_case(grammar_text, tokens)
-    assert _outputs(parse(graph, grammar)) == _outputs(support.literal_parse(graph, grammar))
+    _same_forest(*_x_case(grammar_text, tokens))
+
+
+@pytest.mark.parametrize("grammar_text, tokens, trees", [
+    ("E ::= x | x\n", 1, 1),
+    ("E ::= x\nE ::= x\n", 1, 1),
+    ("E ::= E E | x | E E\n", 3, 2),
+])
+def test_rule_listed_twice_gives_one_tree_per_derivation(grammar_text, tokens, trees):
+    forest = _same_forest(*_x_case(grammar_text, tokens))
+    assert len(support.forest_accepted_trees(forest)) == trees
+    assert render_trees(forest).count("\n\n") == trees - 1
+
+
+def test_long_rule_body_parses_past_the_recursion_limit():
+    # One rule of 3,000 symbols, a then b repeated, over as many tokens: its
+    # match is one chain of 3,000 steps.
+    count = 3000
+    spec = parse_lex_spec("token a 1 /a/\ntoken b 1 /b/\n")
+    grammar = parse_grammar("S ::= a" + " b" * (count - 1) + "\n", spec)
+    forest = parse(build_graph(scan(spec, "a" + "b" * (count - 1))), grammar)
+    assert len(forest.accepted) == 1
+    text = render_trees(forest)
+    assert text.startswith(f"S [0-{count - 1}]\n")
+    assert text.count("\n") == count + 1
 
 
 def test_semi_naive_parse_with_rules_feeding_earlier_rules(numbers_spec):
@@ -353,9 +384,8 @@ def test_semi_naive_parse_with_rules_feeding_earlier_rules(numbers_spec):
     listed = parse_grammar(support.NUMBERS_LIST_GRAMMAR, numbers_spec)
     grammar = Grammar(tuple(reversed(listed.rules)), listed.start_symbol)
     graph = build_graph(scan(numbers_spec, support.numbers_list_input(random.Random(44), 6)))
-    forest = parse(graph, grammar)
+    forest = _same_forest(graph, grammar)
     assert len(forest.accepted) == 1
-    assert _outputs(forest) == _outputs(support.literal_parse(graph, grammar))
 
 
 def test_semi_naive_parse_when_the_rule_makes_its_own_first_new_instance():
@@ -373,8 +403,7 @@ def test_semi_naive_parse_when_the_rule_makes_its_own_first_new_instance():
         GrammarRule("B", ("c",)), GrammarRule("P", ("y",)), GrammarRule("P", ("A", "B", "P")),
         GrammarRule("D", ("y",)), GrammarRule("Q", ("B",)),
     ), "P")
-    forest = parse(graph, grammar)
-    assert _outputs(forest) == _outputs(support.literal_parse(graph, grammar))
+    forest = _same_forest(graph, grammar)
     assert [forest.instances[i].children for i in forest.accepted] == [(6, 7, 15)]
 
 
@@ -382,7 +411,8 @@ def test_parse_matches_literal_parser_on_random_cases_by_seed():
     for seed in range(61000, 61300):
         result, grammar = support.random_parse_case(random.Random(seed))
         graph = build_graph(result)
-        assert _outputs(parse(graph, grammar)) == _outputs(support.literal_parse(graph, grammar)), seed
+        forest = _same_forest(graph, grammar)
+        assert support.forest_accepted_trees(forest) == support.brute_accepted_trees(graph, grammar), seed
 
 
 def test_render_trees_deep_forest():
