@@ -18,10 +18,8 @@ from .oracles import build_graph_oracle, scan_oracle
 from .parser import (
     ParseForest,
     SymbolInstance,
-    extended_follows,
     forest_to_dot,
     forest_to_json,
-    match_rule_from,
     parse,
     render_trees,
 )
@@ -69,11 +67,9 @@ __all__ = [
     "build_graph_oracle",
     "compile_pattern",
     "enumerate_sequences",
-    "extended_follows",
     "forest_to_dot",
     "forest_to_json",
     "graph_from_json",
-    "match_rule_from",
     "parse",
     "parse_grammar",
     "parse_lex_spec",

@@ -1,39 +1,40 @@
-"""Fixpoint parsing over a lexical analysis graph.
+"""Chart parsing over a lexical analysis graph, into a packed forest.
 
-Grammar rules are applied exhaustively to the growing pool of symbol
-instances (terminals first, then derived nonterminals) until a full pass adds
-nothing new.  Two instances may be adjacent in a rule body when the second
-starts after the first ends and no *terminal* token lies strictly between
-them; on terminals this is exactly the graph's following-relation.  A parse
-is accepted when a start-symbol instance spans the whole tokenized input: no
-terminal ends before it starts or starts after it ends.
+A node is a symbol over a span of offsets, ``(symbol, start, end)``: one per
+token, and one per nonterminal and span that some rule derives.  A node holds
+every way the grammar derives it, each an *alternative*: a rule plus the ids
+of its child nodes.  So a sub-derivation shared by many readings is built
+once, as in the shared forests of Billot & Lang (1989).  Packing is exact
+because adjacency depends on offsets alone: two symbols may be adjacent in a
+rule body when the second starts after the first ends and no *terminal*
+token lies strictly between them; on terminals this is exactly the graph's
+following-relation.  A parse is accepted when a start-symbol node spans the
+whole tokenized input: no terminal ends before it starts or starts after it
+ends.  Both tests are O(1) lookups in the graph's adjacency index (see
+`lexgraph.AdjacencyIndex`).
 
-Both tests are O(1) lookups in the graph's adjacency index (see
-`lexgraph.AdjacencyIndex`).  Candidates for the next position of a rule body
-come from an index keyed by symbol and start offset, limited to the offsets
-the index says may follow; a rule's first position walks only the instances
-of its first symbol.
-
-The passes are semi-naive (Bancilhon & Ramakrishnan, 1986): each rule keeps
-a *mark*, the pool size when its previous visit began, and a visit only
-looks for matches with at least one child whose id is at or above the mark.
-A match whose children all lie below the mark was already enumerated by
-that previous visit, because all of them existed when it began and every
-match search sees the whole pool; so it is already known, and skipping it
-changes nothing.  The visiting order is that of exhaustive passes: pass,
-rule, first instance by ascending id, then candidates by ascending id, so
-instance ids and every rendering are the same as with full passes.
-
-Every distinct derivation is kept as its own instance, so ambiguous inputs
-yield one accepted instance per reading.
+The chart grows bottom-up from an agenda of nodes, left to right.  A partial
+item is a rule with the children matched so far.  It waits under ``(next
+symbol, s)`` for each token start ``s`` that may follow its last child.  When
+a node leaves the agenda, it starts a partial item for each rule whose body
+begins with its symbol, and extends each partial item waiting for it; an item
+that is complete becomes an alternative of the node for its rule's left-hand
+side and span, which joins the agenda if it is new.  The agenda is a stack,
+and tokens enter it in ascending start order, so every node that ends before
+``s`` leaves it before the first token starting at ``s``.  An item waiting at
+``s`` was therefore made before any node starting at ``s``, and meets each of
+them once, when the node leaves the agenda: every alternative is found once,
+and nothing needs recursion.  Tokens keep their ids; the other nodes are
+numbered as the chart creates them, and their alternatives are listed in the
+order the chart finds them.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import prod
 
 from .lexgraph import LexGraph, _dot_escape
 from .spec_io import Grammar, GrammarRule
@@ -52,13 +53,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymbolInstance:
+    """One node of the packed forest."""
+
     id: int
     type_name: str
     start: int
     end: int
-    children: tuple[int, ...]        # empty for terminals
-    rule: GrammarRule | None         # None for terminals
-    text: str | None = None          # lexeme, terminals only
+    alternatives: tuple[tuple[GrammarRule, tuple[int, ...]], ...]  # empty for terminals
+    text: str | None = None  # lexeme, terminals only
 
 
 @dataclass(frozen=True)
@@ -73,167 +75,141 @@ def extended_follows(a: SymbolInstance, b: SymbolInstance, g: LexGraph) -> bool:
     return g.index.follows(a.end, b.start)
 
 
-class _Pool:
-    """The instance store plus the two lookups the fixpoint needs.
-
-    ``by_symbol`` lists a symbol's instances by ascending id, for the first
-    position of a rule body; ``by_start`` maps ``(symbol, start offset)`` to
-    ``(id, end)`` pairs by ascending id, for every later position.
-    """
-
-    def __init__(self, g: LexGraph):
-        self.index = g.index
-        self.instances: list[SymbolInstance] = []
-        self.by_symbol: dict[str, list[int]] = {}
-        self.by_start: dict[tuple[str, int], list[tuple[int, int]]] = {}
-
-    def add(self, inst: SymbolInstance) -> None:
-        self.instances.append(inst)
-        self.by_symbol.setdefault(inst.type_name, []).append(inst.id)
-        self.by_start.setdefault((inst.type_name, inst.start), []).append((inst.id, inst.end))
-
-    def fresh_from(self, rule: GrammarRule, mark: int) -> list[bool]:
-        """``flags[k]`` tells whether some symbol of ``rule.rhs[k:]`` has an
-        instance with id ``>= mark``; ``flags[len(rhs)]`` is False."""
-        flags = [False] * (len(rule.rhs) + 1)
-        for k in range(len(rule.rhs) - 1, -1, -1):
-            ids = self.by_symbol.get(rule.rhs[k])
-            flags[k] = flags[k + 1] or (ids is not None and ids[-1] >= mark)
-        return flags
-
-    def matches(
-        self, rule: GrammarRule, first: SymbolInstance, mark: int = 0, fresh: Sequence[bool] = ()
-    ) -> list[tuple[int, ...]]:
-        """Every way to satisfy ``rule`` starting at ``first`` with at least one
-        child id ``>= mark``, as child-id tuples; ``fresh`` is
-        ``fresh_from(rule, mark)``.  With ``mark`` 0 every instance counts.
-
-        Depth first, with each position's candidates in ascending id order:
-        the ``by_start`` entries for every token start in the follows window
-        of the previous child.  Every instance starts where some token starts,
-        so these are exactly the instances `extended_follows` accepts.  While
-        the children so far are all below ``mark``, a position after which no
-        symbol has an instance at or above it takes only such instances.
-        """
-        rhs = rule.rhs
-        if first.type_name != rhs[0]:
-            return []
-        starts, window, by_start = self.index.starts, self.index.window, self.by_start
-        out: list[tuple[int, ...]] = []
-        stack = [((first.id,), first.end, first.id >= mark)]
-        while stack:
-            children, end, has_fresh = stack.pop()
-            k = len(children)
-            if k == len(rhs):
-                out.append(children)
-                continue
-            lo, hi = window(end)
-            candidates = sorted(c for s in set(starts[lo:hi]) for c in by_start.get((rhs[k], s), ()))
-            if not has_fresh and not fresh[k + 1]:
-                candidates = candidates[bisect_left(candidates, (mark,)):]
-            stack.extend(
-                (children + (iid,), iend, has_fresh or iid >= mark) for iid, iend in reversed(candidates)
-            )
-        return out
-
-
 def match_rule_from(
-    rule: GrammarRule,
-    first: SymbolInstance,
-    store: list[SymbolInstance] | tuple[SymbolInstance, ...],
-    g: LexGraph,
+    rule: GrammarRule, first: SymbolInstance, store: Sequence[SymbolInstance], g: LexGraph
 ) -> list[tuple[int, ...]]:
-    """Every way to satisfy ``rule`` starting at ``first``, as child-id tuples.
-
-    Tuples come out in depth-first order with candidates tried by ascending
-    instance id, so the result is deterministic for a given store.
-    """
-    pool = _Pool(g)
-    for inst in store:
-        pool.add(inst)
-    return pool.matches(rule, first)
+    """Every way to satisfy ``rule`` starting at ``first`` with instances of
+    ``store``, as child-id tuples, depth first.  Each next child is an instance
+    of the next body symbol that starts at a token start in the follows window
+    of the previous child; candidates are tried in ``store`` order."""
+    if first.type_name != rule.rhs[0]:
+        return []
+    starts, window = g.index.starts, g.index.window
+    out: list[tuple[int, ...]] = []
+    stack = [((first.id,), first.end)]
+    while stack:
+        children, end = stack.pop()
+        if len(children) == len(rule.rhs):
+            out.append(children)
+            continue
+        lo, hi = window(end)
+        allowed, symbol = set(starts[lo:hi]), rule.rhs[len(children)]
+        stack.extend(
+            (children + (c.id,), c.end)
+            for c in reversed(store)
+            if c.type_name == symbol and c.start in allowed
+        )
+    return out
 
 
 def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
-    """Apply the grammar to a fixpoint and collect whole-input start instances.
+    """Build the packed forest of ``grammar`` over ``g``; accepted are the
+    whole-input start-symbol nodes, in id order.
 
-    Requires a validated grammar (no empty productions, no single-symbol rule
-    cycles); under those conditions the instance pool is finite and the loop
-    terminates.  Distinct derivations stay distinct: an instance is deduped
-    only on (rule lhs, exact child ids).
-
-    Semi-naive: a rule's visit tries only matches that use an instance made
-    since its previous visit began (``marks``).  When no later body symbol
-    has such an instance, the old first instances are skipped outright; by
-    induction none of them can yield a new match, so nothing they would have
-    added is missed.  ``seen`` stays, because left recursion can rediscover
-    within one visit an instance its previous visit made.  Only the rule's
-    own lhs gains instances during a visit, so its freshness flags are
-    computed again once, after the first instance the visit adds.
+    Requires a validated grammar: with no empty productions and no cycles of
+    single-symbol rules, the forest is acyclic and every node has finitely
+    many trees.  A rule listed twice counts once.
     """
-    pool = _Pool(g)
-    for t in g.tokens:
-        pool.add(SymbolInstance(t.id, t.type_name, t.start, t.end, (), None, t.text))
-    instances = pool.instances
-    seen: dict[tuple[str, tuple[int, ...]], int] = {}
-    marks = [0] * len(grammar.rules)
-    changed = True
-    while changed:
-        changed = False
-        for r, rule in enumerate(grammar.rules):
-            mark, marks[r] = marks[r], len(instances)
-            fresh = pool.fresh_from(rule, mark)
-            firsts = pool.by_symbol.get(rule.rhs[0], [])
-            stale = True  # until this visit adds an instance of rule.lhs
-            idx = 0 if fresh[1] else bisect_left(firsts, mark)
-            while idx < len(firsts):  # grows while the rule runs when it is left-recursive
-                first = instances[firsts[idx]]
-                idx += 1
-                for children in pool.matches(rule, first, mark, fresh):
-                    key = (rule.lhs, children)
-                    if key in seen:
-                        continue
-                    new_id = len(instances)
-                    seen[key] = new_id
-                    last = instances[children[-1]]
-                    pool.add(SymbolInstance(new_id, rule.lhs, first.start, last.end, children, rule))
-                    changed = True
-                if stale and len(instances) > marks[r]:
-                    fresh, stale = pool.fresh_from(rule, mark), False
-    spans_all = g.index.spans_all
-    accepted = tuple(
-        inst.id
-        for inst in instances
-        if inst.type_name == grammar.start_symbol and spans_all(inst.start, inst.end)
-    )
+    starts, window = g.index.starts, g.index.window
+    spans = [(t.type_name, t.start, t.end) for t in g.tokens]  # by node id
+    alternatives: list[list[tuple[GrammarRule, tuple[int, ...]]]] = [[] for _ in spans]
+    node_of: dict[tuple[str, int, int], int] = {}
+    rules_by_first: dict[str, list[GrammarRule]] = {}
+    for rule in dict.fromkeys(grammar.rules):
+        rules_by_first.setdefault(rule.rhs[0], []).append(rule)
+    # A partial item is (rule, children, start of its first child).
+    waiting: dict[tuple[str, int], list[tuple[GrammarRule, tuple[int, ...], int]]] = {}
+    agenda = sorted(range(len(spans)), key=lambda i: spans[i][1], reverse=True)
+    while agenda:
+        nid = agenda.pop()
+        symbol, start, _ = spans[nid]
+        tail = (nid,)
+        grown = [(rule, tail, start) for rule in rules_by_first.get(symbol, ())]
+        grown += [(rule, done + tail, first) for rule, done, first in waiting.get((symbol, start), ())]
+        for rule, children, first in grown:
+            last = spans[children[-1]][2]
+            if len(children) < len(rule.rhs):
+                lo, hi = window(last)
+                for s in dict.fromkeys(starts[lo:hi]):
+                    waiting.setdefault((rule.rhs[len(children)], s), []).append((rule, children, first))
+                continue
+            span = (rule.lhs, first, last)
+            target = node_of.get(span)
+            if target is None:
+                target = node_of[span] = len(spans)
+                spans.append(span)
+                alternatives.append([])
+                agenda.append(target)
+            alternatives[target].append((rule, children))
+    instances = [SymbolInstance(t.id, t.type_name, t.start, t.end, (), t.text) for t in g.tokens]
+    instances += (SymbolInstance(i, *spans[i], tuple(alts)) for i, alts in enumerate(alternatives) if alts)
+    whole = g.index.spans_all
+    accepted = tuple(i.id for i in instances if i.type_name == grammar.start_symbol and whole(i.start, i.end))
     return ParseForest(tuple(instances), accepted)
 
 
 def render_trees(f: ParseForest) -> str:
-    """Each accepted instance as an indented tree, in id order; '' when none."""
-    instances = f.instances
+    """Every accepted tree as an indented outline, a blank line between two
+    trees; '' when there is none.
+
+    Roots come in id order.  A tree picks one alternative at each nonterminal
+    it prints; the trees of one root come in lexicographic order of their
+    picks, taken in print order, so the first nonterminal varies slowest.
+    """
+    nodes = f.instances
     blocks = []
     for root in f.accepted:
         lines: list[str] = []
-        # One child iterator per open level, so depth is not bound by the recursion limit.
-        stack = [(iter((root,)), "")]
-        while stack:
-            children, pad = stack[-1]
-            for iid in children:
-                inst = instances[iid]
-                if inst.children:
-                    lines.append(f"{pad}{inst.type_name} [{inst.start}-{inst.end}]")
-                    stack.append((iter(inst.children), pad + "  "))
-                    break
-                lines.append(f'{pad}{inst.type_name} "{inst.text}" [{inst.start}-{inst.end}]')
-            else:
-                stack.pop()
-        blocks.append("\n".join(lines))
+        # ``todo`` links the (node id, depth, alternative) triples still to
+        # print.  A pick keeps the tail that followed it and the index of its
+        # line, so the next tree reprints only what comes after the pick it
+        # changes.
+        picks: list[tuple[int, int, int, tuple | None, int]] = []
+        todo: tuple | None = ((root, 0, 0), None)
+        while True:
+            while todo is not None:
+                (nid, depth, k), todo = todo
+                node, pad = nodes[nid], "  " * depth
+                if not node.alternatives:
+                    lines.append(f'{pad}{node.type_name} "{node.text}" [{node.start}-{node.end}]')
+                    continue
+                picks.append((nid, depth, k, todo, len(lines)))
+                lines.append(f"{pad}{node.type_name} [{node.start}-{node.end}]")
+                for child in reversed(node.alternatives[k][1]):
+                    todo = ((child, depth + 1, 0), todo)
+            blocks.append("\n".join(lines))
+            while picks and picks[-1][2] + 1 == len(nodes[picks[-1][0]].alternatives):
+                picks.pop()
+            if not picks:
+                break
+            nid, depth, k, todo, line = picks.pop()
+            del lines[line:]
+            todo = ((nid, depth, k + 1), todo)
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
+def _tree_count(f: ParseForest) -> int:
+    """The number of accepted trees, by a DP over the acyclic forest."""
+    counts: dict[int, int] = {}
+    stack = list(f.accepted)
+    while stack:
+        nid = stack.pop()
+        if nid in counts:
+            continue
+        alternatives = f.instances[nid].alternatives
+        missing = [c for _, children in alternatives for c in children if c not in counts]
+        if missing:
+            stack += [nid, *missing]
+        else:
+            counts[nid] = sum(prod(map(counts.get, kids)) for _, kids in alternatives) if alternatives else 1
+    return sum(counts[root] for root in f.accepted)
+
+
 def forest_to_json(f: ParseForest) -> str:
+    """The forest as JSON: every node with its alternatives, the accepted node
+    ids and the number of accepted trees."""
     payload = {
+        "version": 2,
         "instances": [
             {
                 "id": inst.id,
@@ -241,18 +217,23 @@ def forest_to_json(f: ParseForest) -> str:
                 "text": inst.text,
                 "start": inst.start,
                 "end": inst.end,
-                "children": list(inst.children),
-                "rule": str(inst.rule) if inst.rule is not None else None,
+                "alternatives": [
+                    {"rule": str(rule), "children": list(children)}
+                    for rule, children in inst.alternatives
+                ],
             }
             for inst in f.instances
         ],
         "accepted": list(f.accepted),
+        "trees": _tree_count(f),
     }
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
 def forest_to_dot(f: ParseForest) -> str:
-    """Accepted trees as a DOT digraph (parent to child, reachable nodes only)."""
+    """The nodes reachable from accepted nodes as a DOT digraph, parent to
+    child.  A node with more than one alternative points to one small vertex
+    per alternative, which points to that alternative's children."""
     reachable: set[int] = set()
     stack = list(f.accepted)
     while stack:
@@ -260,17 +241,22 @@ def forest_to_dot(f: ParseForest) -> str:
         if iid in reachable:
             continue
         reachable.add(iid)
-        stack.extend(f.instances[iid].children)
+        stack.extend(c for _, children in f.instances[iid].alternatives for c in children)
     lines = ["digraph forest {"]
     for iid in sorted(reachable):
         inst = f.instances[iid]
-        if inst.children:
+        if inst.alternatives:
             label = f"{inst.type_name}@{inst.start}-{inst.end}"
         else:
             label = f'{inst.type_name}\n"{inst.text}"@{inst.start}-{inst.end}'
         lines.append(f'  i{iid} [label="{_dot_escape(label)}"];')
     for iid in sorted(reachable):
-        for child in f.instances[iid].children:
-            lines.append(f"  i{iid} -> i{child};")
+        alternatives = f.instances[iid].alternatives
+        if len(alternatives) == 1:
+            lines += (f"  i{iid} -> i{c};" for c in alternatives[0][1])
+            continue
+        for k, (_, children) in enumerate(alternatives):
+            lines += (f"  i{iid}a{k} [shape=point];", f"  i{iid} -> i{iid}a{k};")
+            lines += (f"  i{iid}a{k} -> i{c};" for c in children)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import dataclass
 
 from lamb import Grammar, GrammarRule, LexSpec, TokenDef, enumerate_sequences, validate
-from lamb.parser import ParseForest, SymbolInstance
 from lamb.scanner import ScanResult, Token
 
 # --- canonical corpus -------------------------------------------------------
@@ -274,15 +274,21 @@ def brute_accepted_trees(graph, grammar) -> set:
 
 
 def forest_accepted_trees(forest) -> set:
-    """Accepted parses in the same canonical tuple form as brute_accepted_trees."""
+    """Every tree of a packed forest's accepted nodes, in the canonical tuple
+    form of brute_accepted_trees."""
+    memo: dict = {}
 
-    def canon(iid: int):
-        inst = forest.instances[iid]
-        if not inst.children:
-            return inst.id
-        return (inst.type_name, tuple(canon(c) for c in inst.children))
+    def trees(iid: int) -> set:
+        if iid not in memo:
+            inst = forest.instances[iid]
+            memo[iid] = {inst.id} if not inst.alternatives else {
+                (inst.type_name, combo)
+                for _, children in inst.alternatives
+                for combo in itertools.product(*(trees(c) for c in children))
+            }
+        return memo[iid]
 
-    return {canon(root) for root in forest.accepted}
+    return set().union(*(trees(root) for root in forest.accepted))
 
 
 # --- reference fixpoint parser ------------------------------------------------
@@ -319,9 +325,26 @@ def _literal_spans_whole_input(inst, g) -> bool:
     return not any(t.end < inst.start or t.start > inst.end for t in g.tokens)
 
 
-def literal_parse(g, grammar) -> ParseForest:
+@dataclass(frozen=True)
+class LiteralInstance:
+    id: int
+    type_name: str
+    start: int
+    end: int
+    children: tuple[int, ...]  # empty for terminals
+    rule: GrammarRule | None   # None for terminals
+    text: str | None = None    # lexeme, terminals only
+
+
+@dataclass(frozen=True)
+class LiteralForest:
+    instances: tuple[LiteralInstance, ...]  # instances[i].id == i
+    accepted: tuple[int, ...]
+
+
+def literal_parse(g, grammar) -> LiteralForest:
     instances = [
-        SymbolInstance(t.id, t.type_name, t.start, t.end, (), None, t.text)
+        LiteralInstance(t.id, t.type_name, t.start, t.end, (), None, t.text)
         for t in g.tokens
     ]
     seen = {}
@@ -343,7 +366,7 @@ def literal_parse(g, grammar) -> ParseForest:
                     seen[key] = new_id
                     last = instances[children[-1]]
                     instances.append(
-                        SymbolInstance(new_id, rule.lhs, first.start, last.end, children, rule)
+                        LiteralInstance(new_id, rule.lhs, first.start, last.end, children, rule)
                     )
                     changed = True
     accepted = tuple(
@@ -351,7 +374,7 @@ def literal_parse(g, grammar) -> ParseForest:
         for inst in instances
         if inst.type_name == grammar.start_symbol and _literal_spans_whole_input(inst, g)
     )
-    return ParseForest(tuple(instances), accepted)
+    return LiteralForest(tuple(instances), accepted)
 
 
 def _literal_key(inst):
@@ -378,8 +401,25 @@ def pack_literal(forest) -> tuple[dict, set]:
 
 
 def packed_view(forest) -> tuple[dict, set]:
-    """`parse`'s forest in the form `pack_literal` gives."""
-    return pack_literal(forest)
+    """`parse`'s packed forest in the form `pack_literal` gives, checking on
+    the way that no two nodes share a key and no node lists an alternative
+    twice."""
+    instances = forest.instances
+
+    def key(inst):
+        return inst.id if not inst.alternatives else (inst.type_name, inst.start, inst.end)
+
+    nodes: dict = {}
+    for inst in instances:
+        assert key(inst) not in nodes, inst
+        if not inst.alternatives:
+            nodes[inst.id] = (inst.type_name, inst.start, inst.end, inst.text)
+            continue
+        alternatives = [(rule, tuple(key(instances[c]) for c in children))
+                        for rule, children in inst.alternatives]
+        assert len(set(alternatives)) == len(alternatives), inst
+        nodes[key(inst)] = set(alternatives)
+    return nodes, {key(instances[i]) for i in forest.accepted}
 
 
 def render_literal_trees(forest) -> str:

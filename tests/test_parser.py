@@ -8,10 +8,8 @@ from lamb import (
     GrammarRule,
     build_graph,
     build_graph_oracle,
-    extended_follows,
     forest_to_json,
     graph_from_json,
-    match_rule_from,
     parse,
     parse_grammar,
     parse_lex_spec,
@@ -19,12 +17,12 @@ from lamb import (
     scan,
     to_json,
 )
-from lamb.parser import ParseForest, SymbolInstance, forest_to_dot
+from lamb.parser import ParseForest, SymbolInstance, extended_follows, forest_to_dot, match_rule_from
 from lamb.scanner import ScanResult, Token
 
 
 def _inst(iid, type_name, start, end):
-    return SymbolInstance(iid, type_name, start, end, (), None)
+    return SymbolInstance(iid, type_name, start, end, ())
 
 
 def test_extended_follows_spans_ignored_gaps(numbers_graph):
@@ -58,12 +56,14 @@ def test_extended_follows_matches_graph_on_terminals(numbers_graph):
 def test_match_rule_from_walks_the_graph(numbers_graph, numbers_grammar):
     rule_a = numbers_grammar.rules[1]  # A ::= Ampersand Real Ampersand
     store = [
-        SymbolInstance(t.id, t.type_name, t.start, t.end, (), None, t.text)
+        SymbolInstance(t.id, t.type_name, t.start, t.end, (), t.text)
         for t in numbers_graph.tokens
     ]
     assert match_rule_from(rule_a, store[0], store, numbers_graph) == [(0, 2, 5)]
     assert match_rule_from(rule_a, store[5], store, numbers_graph) == []
     assert match_rule_from(rule_a, store[6], store, numbers_graph) == []
+    blocked = GrammarRule("Q", ("Ampersand", "Point"))  # Integer "5" lies between
+    assert match_rule_from(blocked, store[0], store, numbers_graph) == []
 
 
 def test_parse_numbers_example(numbers_graph, numbers_grammar):
@@ -71,11 +71,12 @@ def test_parse_numbers_example(numbers_graph, numbers_grammar):
     assert len(forest.instances) == 15  # 12 terminals + A + B + E
     derived = {i.type_name: i for i in forest.instances[12:]}
     assert set(derived) == {"A", "B", "E"}
-    assert derived["A"].children == (0, 2, 5)
+    rule_e, rule_a, rule_b = numbers_grammar.rules
+    assert derived["A"].alternatives == ((rule_a, (0, 2, 5)),)
     assert (derived["A"].start, derived["A"].end) == (0, 4)
-    assert derived["B"].children == (6, 7, 9, 10, 11)
+    assert derived["B"].alternatives == ((rule_b, (6, 7, 9, 10, 11)),)
     assert (derived["B"].start, derived["B"].end) == (6, 12)
-    assert derived["E"].children == (derived["A"].id, derived["B"].id)
+    assert derived["E"].alternatives == ((rule_e, (derived["A"].id, derived["B"].id)),)
     assert forest.accepted == (derived["E"].id,)
 
 
@@ -110,7 +111,10 @@ def test_ambiguous_tokenization_yields_two_trees():
     graph = build_graph(scan(spec, "ab"))
     grammar = parse_grammar("S ::= X Z | Y\n", spec)
     forest = parse(graph, grammar)
-    assert len(forest.accepted) == 2
+    (root,) = forest.accepted  # both readings span the whole input: one node
+    assert len(forest.instances[root].alternatives) == 2
+    assert render_trees(forest).count("\n\n") == 1
+    assert forest_to_dot(forest).count("[shape=point];") == 2  # one vertex per alternative
     shapes = support.forest_accepted_trees(forest)
     assert shapes == {("S", (0, 2)), ("S", (1,))}
 
@@ -129,8 +133,8 @@ def test_recursive_rules_reach_a_fixpoint():
 def test_nonterminals_feed_later_passes(numbers_graph, numbers_grammar):
     # E is only reachable through A and B, which appear in an earlier pass
     forest = parse(numbers_graph, numbers_grammar)
-    e = forest.instances[forest.accepted[0]]
-    assert all(forest.instances[c].children for c in e.children)
+    (_, children), = forest.instances[forest.accepted[0]].alternatives
+    assert all(forest.instances[c].alternatives for c in children)
 
 
 def test_render_trees_numbers_example(numbers_graph, numbers_grammar):
@@ -163,13 +167,16 @@ def test_forest_json(numbers_graph, numbers_grammar):
 
     forest = parse(numbers_graph, numbers_grammar)
     payload = json.loads(forest_to_json(forest))
+    assert payload["version"] == 2
     assert payload["accepted"] == [14]
+    assert payload["trees"] == 1
     assert len(payload["instances"]) == 15
     assert payload["instances"][0] == {
-        "id": 0, "type": "Ampersand", "text": "&", "start": 0, "end": 0,
-        "children": [], "rule": None,
+        "id": 0, "type": "Ampersand", "text": "&", "start": 0, "end": 0, "alternatives": [],
     }
-    assert payload["instances"][14]["rule"] == "E ::= A B"
+    (alternative,) = payload["instances"][14]["alternatives"]
+    assert alternative["rule"] == "E ::= A B"
+    assert sorted(alternative["children"]) == [12, 13]
     assert forest_to_json(forest) == forest_to_json(parse(numbers_graph, numbers_grammar))
 
 
@@ -192,18 +199,16 @@ def test_parse_matches_brute_force_on_random_cases():
 
 def test_instance_pool_is_deduplicated(numbers_graph, numbers_grammar):
     forest = parse(numbers_graph, numbers_grammar)
-    keys = [(i.type_name, i.children) for i in forest.instances if i.children]
-    assert len(keys) == len(set(keys))
+    derived = [i for i in forest.instances if i.alternatives]
+    assert len({(i.type_name, i.start, i.end) for i in derived}) == len(derived)
+    assert all(len(set(i.alternatives)) == len(i.alternatives) for i in derived)
 
 
-def _leaves(forest, iid):
-    inst = forest.instances[iid]
-    if not inst.children:
-        return [inst.id]
-    out = []
-    for child in inst.children:
-        out.extend(_leaves(forest, child))
-    return out
+def _leaves(tree):
+    """Token ids at the leaves of a tree in `support.forest_accepted_trees` form."""
+    if isinstance(tree, int):
+        return [tree]
+    return [leaf for child in tree[1] for leaf in _leaves(child)]
 
 
 def _is_maximal_path(graph, ids):
@@ -213,8 +218,8 @@ def _is_maximal_path(graph, ids):
 
 
 def test_accepted_leaves_replay_as_graph_paths(numbers_graph, numbers_grammar):
-    forest = parse(numbers_graph, numbers_grammar)
-    leaves = _leaves(forest, forest.accepted[0])
+    (tree,) = support.forest_accepted_trees(parse(numbers_graph, numbers_grammar))
+    leaves = _leaves(tree)
     assert leaves == [0, 2, 5, 6, 7, 9, 10, 11]
     assert _is_maximal_path(numbers_graph, leaves)
 
@@ -224,9 +229,8 @@ def test_accepted_leaves_replay_on_random_cases():
     for _ in range(25):
         result, grammar = support.random_parse_case(rng)
         graph = build_graph(result)
-        forest = parse(graph, grammar)
-        for root in forest.accepted:
-            assert _is_maximal_path(graph, _leaves(forest, root))
+        for tree in support.forest_accepted_trees(parse(graph, grammar)):
+            assert _is_maximal_path(graph, _leaves(tree))
 
 
 def _outputs(forest):
@@ -236,11 +240,15 @@ def _outputs(forest):
 def _same_forest(graph, grammar):
     """Check `parse` against `support.literal_parse`: the same packed nodes,
     alternatives and accepted nodes, and the same `render_trees` text when
-    there is at most one tree.  Returns the forest."""
+    there is at most one tree, else the same trees in another order.
+    Returns the forest."""
     forest, literal = parse(graph, grammar), support.literal_parse(graph, grammar)
     assert support.packed_view(forest) == support.pack_literal(literal), (graph.tokens, grammar)
+    text, expected = render_trees(forest), support.render_literal_trees(literal)
     if len(literal.accepted) <= 1:
-        assert render_trees(forest) == support.render_literal_trees(literal), (graph.tokens, grammar)
+        assert text == expected, (graph.tokens, grammar)
+    else:
+        assert sorted(text[:-1].split("\n\n")) == sorted(expected[:-1].split("\n\n")), (graph.tokens, grammar)
     return forest
 
 
@@ -327,7 +335,16 @@ def test_parse_takes_candidates_at_different_starts_in_id_order():
         GrammarRule("S", ("Z", "N")), GrammarRule("N", ("X",)), GrammarRule("N", ("Y",)),
     ), "S")
     forest = _same_forest(graph, grammar)
-    assert [forest.instances[i].children for i in forest.accepted] == [(0, 3), (0, 4)]
+    assert support.forest_accepted_trees(forest) == {("S", (0, ("N", (2,)))), ("S", (0, ("N", (1,))))}
+
+
+def test_parse_tokens_listed_out_of_start_order():
+    # A graph read from JSON need not list its tokens by start offset.
+    toks = (Token(0, "Y", "y", 2, 2), Token(1, "X", "x", 0, 0), Token(2, "Z", "z", 1, 1))
+    graph = build_graph_oracle(ScanResult(toks, 3, ()))
+    grammar = Grammar((GrammarRule("S", ("X", "Z", "Y")),), "S")
+    forest = _same_forest(graph, grammar)
+    assert support.forest_accepted_trees(forest) == {("S", (1, 2, 0))}
 
 
 def test_parse_graph_round_tripped_through_json(numbers_spec):
@@ -404,7 +421,8 @@ def test_semi_naive_parse_when_the_rule_makes_its_own_first_new_instance():
         GrammarRule("D", ("y",)), GrammarRule("Q", ("B",)),
     ), "P")
     forest = _same_forest(graph, grammar)
-    assert [forest.instances[i].children for i in forest.accepted] == [(6, 7, 15)]
+    inner = ("P", (("A", (2,)), ("B", (("D", (3,)),)), ("P", (4,))))
+    assert support.forest_accepted_trees(forest) == {("P", (("A", (0,)), ("B", (1,)), inner))}
 
 
 def test_parse_matches_literal_parser_on_random_cases_by_seed():
@@ -419,14 +437,31 @@ def test_render_trees_deep_forest():
     # A hand-built right-recursive tree, L ::= x | x L over 5000 tokens: one
     # level per token, far past the recursion limit.
     depth = 5000
-    leaves = [SymbolInstance(i, "x", i, i, (), None, "x") for i in range(depth)]
+    leaves = [SymbolInstance(i, "x", i, i, (), "x") for i in range(depth)]
     rule, base = GrammarRule("L", ("x", "L")), GrammarRule("L", ("x",))
-    chain = [SymbolInstance(depth, "L", depth - 1, depth - 1, (depth - 1,), base)]
+    chain = [SymbolInstance(depth, "L", depth - 1, depth - 1, ((base, (depth - 1,)),))]
     for i in range(depth - 2, -1, -1):
-        chain.append(SymbolInstance(depth + len(chain), "L", i, depth - 1, (i, chain[-1].id), rule))
+        chain.append(SymbolInstance(depth + len(chain), "L", i, depth - 1, ((rule, (i, chain[-1].id)),)))
     forest = ParseForest(tuple(leaves + chain), (chain[-1].id,))
     text = render_trees(forest)
     expected = "".join(
         f'{"  " * d}L [{d}-{depth - 1}]\n{"  " * (d + 1)}x "x" [{d}-{d}]\n' for d in range(depth)
     )
     assert text == expected
+
+
+def test_render_trees_lists_every_tree_in_pick_order():
+    # X@0 derives a or c, Y@1 derives b or d: four trees, X's pick slowest.
+    tokens = [SymbolInstance(i, t, i // 2, i // 2, (), t) for i, t in enumerate("acbd")]
+    x, y, s = GrammarRule("X", ("a",)), GrammarRule("Y", ("b",)), GrammarRule("S", ("X", "Y"))
+    derived = [
+        SymbolInstance(4, "X", 0, 0, ((x, (0,)), (x, (1,)))),
+        SymbolInstance(5, "Y", 1, 1, ((y, (2,)), (y, (3,)))),
+        SymbolInstance(6, "S", 0, 1, ((s, (4, 5)),)),
+    ]
+    text = render_trees(ParseForest(tuple(tokens + derived), (6,)))
+    trees = [
+        f'S [0-1]\n  X [0-0]\n    {a} "{a}" [0-0]\n  Y [1-1]\n    {b} "{b}" [1-1]'
+        for a in "ac" for b in "bd"
+    ]
+    assert text == "\n\n".join(trees) + "\n"
