@@ -122,18 +122,17 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
     agenda = sorted(range(len(spans)), key=lambda i: spans[i][1], reverse=True)
     while agenda:
         nid = agenda.pop()
-        symbol, start, _ = spans[nid]
+        symbol, start, end = spans[nid]
         tail = (nid,)
         grown = [(rule, tail, start) for rule in rules_by_first.get(symbol, ())]
         grown += [(rule, done + tail, first) for rule, done, first in waiting.get((symbol, start), ())]
         for rule, children, first in grown:
-            last = spans[children[-1]][2]
             if len(children) < len(rule.rhs):
-                lo, hi = window(last)
+                lo, hi = window(end)
                 for s in dict.fromkeys(starts[lo:hi]):
                     waiting.setdefault((rule.rhs[len(children)], s), []).append((rule, children, first))
                 continue
-            span = (rule.lhs, first, last)
+            span = (rule.lhs, first, end)
             target = node_of.get(span)
             if target is None:
                 target = node_of[span] = len(spans)

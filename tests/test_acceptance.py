@@ -154,7 +154,7 @@ def test_criterion_7_parser_completeness():
         forest = parse(graph, grammar)
         if support.forest_accepted_trees(forest) != support.brute_accepted_trees(graph, grammar):
             divergences += 1
-    _report(7, "100 random small cases: fixpoint parse equals brute-force enumeration",
+    _report(7, "100 random small cases: chart parse equals brute-force enumeration",
             divergences == 0, f"divergences={divergences}")
 
 

@@ -131,7 +131,7 @@ def test_recursive_rules_reach_a_fixpoint():
 
 
 def test_nonterminals_feed_later_passes(numbers_graph, numbers_grammar):
-    # E is only reachable through A and B, which appear in an earlier pass
+    # E is only reachable through A and B, themselves derived
     forest = parse(numbers_graph, numbers_grammar)
     (_, children), = forest.instances[forest.accepted[0]].alternatives
     assert all(forest.instances[c].alternatives for c in children)
@@ -362,9 +362,9 @@ def _x_case(grammar_text, tokens):
 
 
 @pytest.mark.parametrize("grammar_text, tokens", [
-    ("L ::= L x | x\n", 30),      # left recursion grows the firsts within one visit
-    ("S ::= E S | E\nE ::= x\n", 12),  # after the first passes only S, the last child, is new
-    ("P ::= E E\nE ::= x | x E\n", 8),  # one symbol twice in a body, new in either place
+    ("L ::= L x | x\n", 30),      # left recursion
+    ("S ::= E S | E\nE ::= x\n", 12),  # right recursion through the last child
+    ("P ::= E E\nE ::= x | x E\n", 8),  # one symbol twice in a body
     ("E ::= E E | x\n", 7),       # ambiguous: Catalan(n-1) readings per span
 ])
 def test_semi_naive_parse_matches_literal_parser(grammar_text, tokens):
@@ -396,8 +396,7 @@ def test_long_rule_body_parses_past_the_recursion_limit():
 
 
 def test_semi_naive_parse_with_rules_feeding_earlier_rules(numbers_spec):
-    # Reversed, every rule is fed by a later one, so it only finds its new
-    # instances on the next pass.
+    # Reversed, every rule is fed by rules listed after it.
     listed = parse_grammar(support.NUMBERS_LIST_GRAMMAR, numbers_spec)
     grammar = Grammar(tuple(reversed(listed.rules)), listed.start_symbol)
     graph = build_graph(scan(numbers_spec, support.numbers_list_input(random.Random(44), 6)))
@@ -406,10 +405,8 @@ def test_semi_naive_parse_with_rules_feeding_earlier_rules(numbers_spec):
 
 
 def test_semi_naive_parse_when_the_rule_makes_its_own_first_new_instance():
-    # In pass 2, P ::= A B P starts with new instances only for B (B@3, B@4).
-    # Its first match makes P@2-4, the first new P, and the next first
-    # instance, A@0, needs that P after the old B@1: the rule's freshness
-    # flags must see the P it made.
+    # P ::= A B P recurses on its last child, and one B comes through the
+    # unit chain B ::= D ::= y, listed before the rules it needs.
     toks = (
         Token(0, "b", "b", 0, 0), Token(1, "c", "c", 1, 1), Token(2, "a", "a", 2, 2),
         Token(3, "y", "y", 3, 3), Token(4, "y", "y", 4, 4),
