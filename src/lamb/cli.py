@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import lexgraph, oracles, parser, scanner, spec_io
 
@@ -51,11 +52,11 @@ def _build_cli() -> _ArgumentParser:
 
 
 def _read(path: str) -> str:
+    """The file's or stdin's bytes as UTF-8, line endings kept, so that token
+    offsets count the same characters whichever way the input arrives."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # reported like any other unreadable file
         raise OSError(f"{path}: not valid UTF-8 at byte {exc.start}") from exc
 

@@ -2,16 +2,16 @@
 
 A node is a symbol over a span of offsets, ``(symbol, start, end)``: one per
 token, and one per nonterminal and span that some rule derives.  A node holds
-every way the grammar derives it, each an *alternative*: a rule plus the ids
-of its child nodes.  So a sub-derivation shared by many readings is built
-once, as in the shared forests of Billot & Lang (1989).  Packing is exact
-because adjacency depends on offsets alone: two symbols may be adjacent in a
-rule body when the second starts after the first ends and no *terminal*
-token lies strictly between them; on terminals this is exactly the graph's
-following-relation.  A parse is accepted when a start-symbol node spans the
-whole tokenized input: no terminal ends before it starts or starts after it
-ends.  Both tests are O(1) lookups in the graph's adjacency index (see
-`lexgraph.AdjacencyIndex`).
+every way the grammar derives it, each an *alternative*: the ids of its child
+nodes.  The grammar lists each rule once, so the symbols of node and children
+name it.  A sub-derivation shared by many readings is built once, as in the
+shared forests of Billot & Lang (1989).  Packing is exact because adjacency
+depends on offsets alone: two symbols may be adjacent in a rule body when the
+second starts after the first ends and no *terminal* token lies strictly
+between them; on terminals this is exactly the graph's following-relation.  A
+parse is accepted when a start-symbol node spans the whole tokenized input: no
+terminal ends before it starts or starts after it ends.  Both tests are O(1)
+lookups in the graph's adjacency index (see `lexgraph.AdjacencyIndex`).
 
 The chart grows bottom-up from an agenda of nodes, left to right.  A partial
 item is a rule with the children matched so far.  It waits under ``(next
@@ -53,13 +53,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymbolInstance:
-    """One node of the packed forest."""
+    """One node of the packed forest; an alternative is a tuple of child ids."""
 
     id: int
     type_name: str
     start: int
     end: int
-    alternatives: tuple[tuple[GrammarRule, tuple[int, ...]], ...]  # empty for terminals
+    alternatives: tuple[tuple[int, ...], ...]  # empty for terminals
     text: str | None = None  # lexeme, terminals only
 
 
@@ -112,34 +112,32 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
     """
     starts, window = g.index.starts, g.index.window
     spans = [(t.type_name, t.start, t.end) for t in g.tokens]  # by node id
-    alternatives: list[list[tuple[GrammarRule, tuple[int, ...]]]] = [[] for _ in spans]
+    alternatives: list[list[tuple[int, ...]]] = [[] for _ in spans]
     node_of: dict[tuple[str, int, int], int] = {}
     rules_by_first: dict[str, list[GrammarRule]] = {}
     for rule in dict.fromkeys(grammar.rules):
         rules_by_first.setdefault(rule.rhs[0], []).append(rule)
-    # A partial item is (rule, children, start of its first child).
-    waiting: dict[tuple[str, int], list[tuple[GrammarRule, tuple[int, ...], int]]] = {}
+    waiting: dict[tuple[str, int], list[tuple[GrammarRule, tuple[int, ...]]]] = {}
     agenda = sorted(range(len(spans)), key=lambda i: spans[i][1], reverse=True)
     while agenda:
         nid = agenda.pop()
         symbol, start, end = spans[nid]
-        tail = (nid,)
-        grown = [(rule, tail, start) for rule in rules_by_first.get(symbol, ())]
-        grown += [(rule, done + tail, first) for rule, done, first in waiting.get((symbol, start), ())]
-        for rule, children, first in grown:
+        grown = [(rule, (nid,)) for rule in rules_by_first.get(symbol, ())]
+        grown += [(rule, done + (nid,)) for rule, done in waiting.get((symbol, start), ())]
+        for rule, children in grown:
             if len(children) < len(rule.rhs):
                 lo, hi = window(end)
                 for s in dict.fromkeys(starts[lo:hi]):
-                    waiting.setdefault((rule.rhs[len(children)], s), []).append((rule, children, first))
+                    waiting.setdefault((rule.rhs[len(children)], s), []).append((rule, children))
                 continue
-            span = (rule.lhs, first, end)
+            span = (rule.lhs, spans[children[0]][1], end)
             target = node_of.get(span)
             if target is None:
                 target = node_of[span] = len(spans)
                 spans.append(span)
                 alternatives.append([])
                 agenda.append(target)
-            alternatives[target].append((rule, children))
+            alternatives[target].append(children)
     instances = [SymbolInstance(t.id, t.type_name, t.start, t.end, (), t.text) for t in g.tokens]
     instances += (SymbolInstance(i, *spans[i], tuple(alts)) for i, alts in enumerate(alternatives) if alts)
     whole = g.index.spans_all
@@ -174,7 +172,7 @@ def render_trees(f: ParseForest) -> str:
                     continue
                 picks.append((nid, depth, k, todo, len(lines)))
                 lines.append(f"{pad}{node.type_name} [{node.start}-{node.end}]")
-                for child in reversed(node.alternatives[k][1]):
+                for child in reversed(node.alternatives[k]):
                     todo = ((child, depth + 1, 0), todo)
             blocks.append("\n".join(lines))
             while picks and picks[-1][2] + 1 == len(nodes[picks[-1][0]].alternatives):
@@ -196,17 +194,18 @@ def _tree_count(f: ParseForest) -> int:
         if nid in counts:
             continue
         alternatives = f.instances[nid].alternatives
-        missing = [c for _, children in alternatives for c in children if c not in counts]
+        missing = [c for children in alternatives for c in children if c not in counts]
         if missing:
             stack += [nid, *missing]
         else:
-            counts[nid] = sum(prod(map(counts.get, kids)) for _, kids in alternatives) if alternatives else 1
+            counts[nid] = sum(prod(map(counts.get, kids)) for kids in alternatives) if alternatives else 1
     return sum(counts[root] for root in f.accepted)
 
 
 def forest_to_json(f: ParseForest) -> str:
     """The forest as JSON: every node with its alternatives, the accepted node
     ids and the number of accepted trees."""
+    types = [inst.type_name for inst in f.instances]
     payload = {
         "version": 2,
         "instances": [
@@ -217,8 +216,9 @@ def forest_to_json(f: ParseForest) -> str:
                 "start": inst.start,
                 "end": inst.end,
                 "alternatives": [
-                    {"rule": str(rule), "children": list(children)}
-                    for rule, children in inst.alternatives
+                    {"rule": f"{inst.type_name} ::= {' '.join(types[c] for c in children)}",
+                     "children": list(children)}
+                    for children in inst.alternatives
                 ],
             }
             for inst in f.instances
@@ -240,7 +240,7 @@ def forest_to_dot(f: ParseForest) -> str:
         if iid in reachable:
             continue
         reachable.add(iid)
-        stack.extend(c for _, children in f.instances[iid].alternatives for c in children)
+        stack.extend(c for children in f.instances[iid].alternatives for c in children)
     lines = ["digraph forest {"]
     for iid in sorted(reachable):
         inst = f.instances[iid]
@@ -252,9 +252,9 @@ def forest_to_dot(f: ParseForest) -> str:
     for iid in sorted(reachable):
         alternatives = f.instances[iid].alternatives
         if len(alternatives) == 1:
-            lines += (f"  i{iid} -> i{c};" for c in alternatives[0][1])
+            lines += (f"  i{iid} -> i{c};" for c in alternatives[0])
             continue
-        for k, (_, children) in enumerate(alternatives):
+        for k, children in enumerate(alternatives):
             lines += (f"  i{iid}a{k} [shape=point];", f"  i{iid} -> i{iid}a{k};")
             lines += (f"  i{iid}a{k} -> i{c};" for c in children)
     lines.append("}")

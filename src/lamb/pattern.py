@@ -188,11 +188,6 @@ class Pattern(Automaton):
     def __repr__(self) -> str:
         return f"Pattern({self.source!r})"
 
-    @property
-    def _start(self) -> _DState | None:
-        """The DFA start state, once built."""
-        return self._starts.get(1)
-
     def match_longest_at(self, text: str, pos: int) -> int | None:
         """Length of the longest match anchored exactly at ``pos``, or None.
 

@@ -283,7 +283,7 @@ def forest_accepted_trees(forest) -> set:
             inst = forest.instances[iid]
             memo[iid] = {inst.id} if not inst.alternatives else {
                 (inst.type_name, combo)
-                for _, children in inst.alternatives
+                for children in inst.alternatives
                 for combo in itertools.product(*(trees(c) for c in children))
             }
         return memo[iid]
@@ -403,7 +403,8 @@ def pack_literal(forest) -> tuple[dict, set]:
 def packed_view(forest) -> tuple[dict, set]:
     """`parse`'s packed forest in the form `pack_literal` gives, checking on
     the way that no two nodes share a key and no node lists an alternative
-    twice."""
+    twice.  Each alternative's rule is derived from the node's and its
+    children's types."""
     instances = forest.instances
 
     def key(inst):
@@ -415,8 +416,11 @@ def packed_view(forest) -> tuple[dict, set]:
         if not inst.alternatives:
             nodes[inst.id] = (inst.type_name, inst.start, inst.end, inst.text)
             continue
-        alternatives = [(rule, tuple(key(instances[c]) for c in children))
-                        for rule, children in inst.alternatives]
+        alternatives = [
+            (GrammarRule(inst.type_name, tuple(instances[c].type_name for c in children)),
+             tuple(key(instances[c]) for c in children))
+            for children in inst.alternatives
+        ]
         assert len(set(alternatives)) == len(alternatives), inst
         nodes[key(inst)] = set(alternatives)
     return nodes, {key(instances[i]) for i in forest.accepted}

@@ -88,7 +88,7 @@ def test_criterion_4_context_sensitive_resolution():
         inst = forest.instances[iid]
         if not inst.alternatives:
             return (inst.type_name, inst.text)
-        (_, children), = inst.alternatives
+        (children,) = inst.alternatives
         return (inst.type_name, tuple(shape(c) for c in children))
 
     expected = (

@@ -156,11 +156,39 @@ def test_dot_format_is_invalid_for_sequences(files, capsys):
 
 
 def test_stdin_input(files, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(support.NUMBERS_INPUT))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(support.NUMBERS_INPUT.encode())))
     code = run(["sequences", "--spec", files["spec"], "--input", "-"])
     out, _ = capsys.readouterr()
     assert code == 0
     assert len(out.splitlines()) == 4
+
+
+def test_file_and_stdin_give_the_same_offsets(files, capsys, monkeypatch):
+    # Line endings are kept and stdin is read as UTF-8 whatever its text
+    # encoding: offsets count the same characters either way.
+    spec = files["dir"] / "words.lamb"
+    spec.write_text("token W 1 /[^ ]+/\nignore /[ \\n]+/\n", encoding="utf-8")
+    data = "ab\r\ncé".encode()
+    source = files["dir"] / "crlf.txt"
+    source.write_bytes(data)
+    outputs = []
+    for path in (str(source), "-"):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+        assert run(["scan", "--format", "json", "--spec", str(spec), "--input", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
+    assert payload["input_length"] == 6
+    assert [(t["start"], t["end"]) for t in payload["tokens"]] == [(0, 5), (4, 5)]
+
+
+def test_stdin_that_is_not_utf8_is_an_error(files, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"&5\xff"), encoding="latin-1"))
+    code = run(["scan", "--spec", files["spec"], "--input", "-"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "lamb: error: -: not valid UTF-8 at byte 2\n"
 
 
 def test_unconsumed_input_warning(files, capsys):

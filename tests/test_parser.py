@@ -1,3 +1,5 @@
+import gc
+import math
 import random
 
 import pytest
@@ -71,12 +73,11 @@ def test_parse_numbers_example(numbers_graph, numbers_grammar):
     assert len(forest.instances) == 15  # 12 terminals + A + B + E
     derived = {i.type_name: i for i in forest.instances[12:]}
     assert set(derived) == {"A", "B", "E"}
-    rule_e, rule_a, rule_b = numbers_grammar.rules
-    assert derived["A"].alternatives == ((rule_a, (0, 2, 5)),)
+    assert derived["A"].alternatives == ((0, 2, 5),)
     assert (derived["A"].start, derived["A"].end) == (0, 4)
-    assert derived["B"].alternatives == ((rule_b, (6, 7, 9, 10, 11)),)
+    assert derived["B"].alternatives == ((6, 7, 9, 10, 11),)
     assert (derived["B"].start, derived["B"].end) == (6, 12)
-    assert derived["E"].alternatives == ((rule_e, (derived["A"].id, derived["B"].id)),)
+    assert derived["E"].alternatives == ((derived["A"].id, derived["B"].id),)
     assert forest.accepted == (derived["E"].id,)
 
 
@@ -133,7 +134,7 @@ def test_recursive_rules_reach_a_fixpoint():
 def test_nonterminals_feed_later_passes(numbers_graph, numbers_grammar):
     # E is only reachable through A and B, themselves derived
     forest = parse(numbers_graph, numbers_grammar)
-    (_, children), = forest.instances[forest.accepted[0]].alternatives
+    (children,) = forest.instances[forest.accepted[0]].alternatives
     assert all(forest.instances[c].alternatives for c in children)
 
 
@@ -202,6 +203,18 @@ def test_instance_pool_is_deduplicated(numbers_graph, numbers_grammar):
     derived = [i for i in forest.instances if i.alternatives]
     assert len({(i.type_name, i.start, i.end) for i in derived}) == len(derived)
     assert all(len(set(i.alternatives)) == len(i.alternatives) for i in derived)
+
+
+def test_alternatives_are_not_tracked_by_the_collector():
+    # An alternative holds only child ids, so the collector stops tracking it
+    # once it has seen it, and a large forest does not slow every collection.
+    spec = parse_lex_spec("token x 1 /x/\n")
+    grammar = parse_grammar("E ::= E E | x\n", spec)
+    forest = parse(build_graph(scan(spec, "x" * 40)), grammar)
+    gc.collect()
+    alternatives = [a for inst in forest.instances for a in inst.alternatives]
+    assert len(alternatives) == math.comb(41, 3) + 40  # E ::= E E per split, E ::= x per token
+    assert not any(map(gc.is_tracked, alternatives))
 
 
 def _leaves(tree):
@@ -435,10 +448,9 @@ def test_render_trees_deep_forest():
     # level per token, far past the recursion limit.
     depth = 5000
     leaves = [SymbolInstance(i, "x", i, i, (), "x") for i in range(depth)]
-    rule, base = GrammarRule("L", ("x", "L")), GrammarRule("L", ("x",))
-    chain = [SymbolInstance(depth, "L", depth - 1, depth - 1, ((base, (depth - 1,)),))]
+    chain = [SymbolInstance(depth, "L", depth - 1, depth - 1, ((depth - 1,),))]
     for i in range(depth - 2, -1, -1):
-        chain.append(SymbolInstance(depth + len(chain), "L", i, depth - 1, ((rule, (i, chain[-1].id)),)))
+        chain.append(SymbolInstance(depth + len(chain), "L", i, depth - 1, ((i, chain[-1].id),)))
     forest = ParseForest(tuple(leaves + chain), (chain[-1].id,))
     text = render_trees(forest)
     expected = "".join(
@@ -450,11 +462,10 @@ def test_render_trees_deep_forest():
 def test_render_trees_lists_every_tree_in_pick_order():
     # X@0 derives a or c, Y@1 derives b or d: four trees, X's pick slowest.
     tokens = [SymbolInstance(i, t, i // 2, i // 2, (), t) for i, t in enumerate("acbd")]
-    x, y, s = GrammarRule("X", ("a",)), GrammarRule("Y", ("b",)), GrammarRule("S", ("X", "Y"))
     derived = [
-        SymbolInstance(4, "X", 0, 0, ((x, (0,)), (x, (1,)))),
-        SymbolInstance(5, "Y", 1, 1, ((y, (2,)), (y, (3,)))),
-        SymbolInstance(6, "S", 0, 1, ((s, (4, 5)),)),
+        SymbolInstance(4, "X", 0, 0, ((0,), (1,))),
+        SymbolInstance(5, "Y", 1, 1, ((2,), (3,))),
+        SymbolInstance(6, "S", 0, 1, ((4, 5),)),
     ]
     text = render_trees(ParseForest(tuple(tokens + derived), (6,)))
     trees = [

@@ -183,7 +183,7 @@ def test_unbalanced_deep_nesting_is_a_pattern_error():
 
 def test_compile_builds_no_dfa_state():
     p = compile_pattern(r"(-|\+)?[0-9]+\.[0-9]+")
-    assert p._dfa == {} and p._start is None
+    assert p._dfa == {} and p._starts == {}
     assert p.match_longest_at("1.5", 0) == 3
     assert p._dfa
 
@@ -233,7 +233,7 @@ def test_dfa_cache_is_bounded_and_answers_survive_flushes():
     for pos in (0, 1, 2, 5000, 11980):
         assert p.match_longest_at(text, pos) == oracles.match_longest_oracle(p, text, pos), pos
         # After a flush the next query starts from a fresh state, never an old one.
-        assert p._start is None or p._dfa.get(p._start.nfa) is p._start
+        assert all(p._dfa.get(start.nfa) is start for start in p._starts.values())
     assert cache.clears >= 1
     assert cache.largest == pattern._DFA_CACHE_LIMIT
 
