@@ -15,7 +15,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from json.encoder import encode_basestring as _json_string
-from operator import attrgetter
 
 from .scanner import ScanResult, Token
 
@@ -43,9 +42,10 @@ class AdjacencyIndex:
     __slots__ = ("starts", "_suffix_min_end")
 
     def __init__(self, tokens: tuple[Token, ...]):
-        ordered = sorted(tokens, key=attrgetter("start"))
-        self.starts = [t.start for t in ordered]
-        ends = reversed([t.end for t in ordered])
+        self.starts = [t.start for t in tokens]
+        if self.starts != sorted(self.starts) or [t.id for t in tokens] != list(range(len(tokens))):
+            raise ValueError("tokens must be numbered 0, 1, ... in ascending start order")
+        ends = reversed([t.end for t in tokens])
         self._suffix_min_end = list(accumulate(ends, min, initial=math.inf))[::-1]
 
     def min_end_after(self, p: int) -> float:
@@ -90,8 +90,6 @@ def build_graph(result: ScanResult) -> LexGraph:
     """
     toks = result.tokens
     n = len(toks)
-    if any(toks[k].start > toks[k + 1].start for k in range(n - 1)):
-        raise ValueError("tokens must be ordered by ascending start offset")
     index = AdjacencyIndex(toks)
     following = tuple(tuple(range(*index.window(t.end))) for t in toks)
     preceding: list[list[int]] = [[] for _ in range(n)]
@@ -182,10 +180,7 @@ def graph_from_json(text: str) -> LexGraph:
         Token(rec["id"], rec["type"], rec["text"], rec["start"], rec["end"])
         for rec in data["tokens"]
     )
-    return LexGraph(
-        tokens=tokens,
-        input_length=data["input_length"],
-        following=tuple(tuple(rec["following"]) for rec in data["tokens"]),
-        preceding=tuple(tuple(rec["preceding"]) for rec in data["tokens"]),
-        start_set=tuple(data["start"]),
-    )
+    graph = build_graph(ScanResult(tokens, data["input_length"]))
+    if json.dumps(data, ensure_ascii=False, separators=(",", ":")) != to_json(graph):
+        raise ValueError("token graph JSON differs from the graph its tokens give")
+    return graph

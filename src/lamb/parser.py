@@ -118,7 +118,7 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
     for rule in dict.fromkeys(grammar.rules):
         rules_by_first.setdefault(rule.rhs[0], []).append(rule)
     waiting: dict[tuple[str, int], list[tuple[GrammarRule, tuple[int, ...]]]] = {}
-    agenda = sorted(range(len(spans)), key=lambda i: spans[i][1], reverse=True)
+    agenda = list(range(len(spans) - 1, -1, -1))
     while agenda:
         nid = agenda.pop()
         symbol, start, end = spans[nid]

