@@ -36,7 +36,11 @@ class AdjacencyIndex:
     after offset ``p`` (infinite when none does).  Token ``b`` follows ``a``
     exactly when ``a.end < b.start <= min_end_after(a.end + 1)``: every token
     starting after ``a`` ends and ending before ``b`` starts would sit strictly
-    between them.  The index accepts tokens in any order.
+    between them.
+
+    The tokens must be numbered ``0, 1, ...`` in ascending start order, so
+    that a position in ``starts`` is a token id.  This is the one place that
+    checks it; any other list raises `ValueError`.
     """
 
     __slots__ = ("starts", "_suffix_min_end")
@@ -66,6 +70,9 @@ class AdjacencyIndex:
 
 @dataclass(frozen=True)
 class LexGraph:
+    """Tokens numbered ``0, 1, ...`` in ascending start order, and the edges
+    between them; a graph outside that order raises `ValueError`."""
+
     tokens: tuple[Token, ...]
     input_length: int
     following: tuple[tuple[int, ...], ...]  # indexed by token id, ids ascending
@@ -82,11 +89,12 @@ class LexGraph:
 def build_graph(result: ScanResult) -> LexGraph:
     """Compute following/preceding sets from the adjacency index.
 
-    Tokens are ordered by start, so the tokens that follow ``a`` form one
-    contiguous slice: those whose start lies in
-    ``(a.end, min_end_after(a.end + 1)]``.  Two bisections per token find it,
-    and ``preceding`` is the inverse of the slices, so the build costs
-    O(T log T + E) for T tokens and E edges.
+    The tokens must be numbered ``0, 1, ...`` in ascending start order, as
+    `scanner.scan` emits them, or `AdjacencyIndex` raises `ValueError`.  So
+    the tokens that follow ``a`` form one contiguous slice of ids: those
+    whose start lies in ``(a.end, min_end_after(a.end + 1)]``.  Two
+    bisections per token find it, and ``preceding`` is the inverse of the
+    slices, so the build costs O(T log T + E) for T tokens and E edges.
     """
     toks = result.tokens
     n = len(toks)
@@ -175,12 +183,28 @@ def to_json(g: LexGraph) -> str:
 
 
 def graph_from_json(text: str) -> LexGraph:
-    data = json.loads(text)
-    tokens = tuple(
-        Token(rec["id"], rec["type"], rec["text"], rec["start"], rec["end"])
-        for rec in data["tokens"]
-    )
-    graph = build_graph(ScanResult(tokens, data["input_length"]))
-    if json.dumps(data, ensure_ascii=False, separators=(",", ":")) != to_json(graph):
-        raise ValueError("token graph JSON differs from the graph its tokens give")
+    """The graph `to_json` wrote, rebuilt by `build_graph` from its tokens.
+
+    The text must hold exactly the JSON value that `to_json` writes for that
+    graph, keys in the same order; only spacing and string escapes may
+    differ.  Anything else raises one `ValueError` that names the problem:
+    tokens not numbered ``0, 1, ...`` in ascending start order, a missing
+    field, a value of the wrong type, or edges or a start set that differ
+    from the rebuilt ones.
+    """
+    try:
+        data = json.loads(text, parse_float=int)  # int() rejects every float literal
+        tokens = tuple(
+            Token(rec["id"], rec["type"], rec["text"], rec["start"], rec["end"])
+            for rec in data["tokens"]
+        )
+        graph = build_graph(ScanResult(tokens, data["input_length"]))
+        same = json.dumps(data, ensure_ascii=False, separators=(",", ":")) == to_json(graph)
+    except KeyError as exc:
+        raise ValueError(f"token graph JSON: no field {exc}") from exc
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ValueError(f"token graph JSON: {exc}") from exc
+    if not same:
+        raise ValueError("token graph JSON: edges, start set or fields differ "
+                         "from what to_json writes for its tokens")
     return graph

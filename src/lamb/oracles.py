@@ -103,7 +103,12 @@ def scan_oracle(spec: LexSpec, text: str) -> ScanResult:
 
 
 def build_graph_oracle(result: ScanResult) -> LexGraph:
-    """Adjacency straight from the definition, one triple loop, no shortcuts."""
+    """Adjacency straight from the definition, one triple loop, no shortcuts.
+
+    Like `lexgraph.build_graph`, it takes tokens numbered ``0, 1, ...`` in
+    ascending start order; the `LexGraph` it returns raises `ValueError` on
+    any other list.
+    """
     toks = result.tokens
     following: dict[int, list[int]] = {t.id: [] for t in toks}
     preceding: dict[int, list[int]] = {t.id: [] for t in toks}

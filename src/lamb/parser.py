@@ -20,13 +20,16 @@ a node leaves the agenda, it starts a partial item for each rule whose body
 begins with its symbol, and extends each partial item waiting for it; an item
 that is complete becomes an alternative of the node for its rule's left-hand
 side and span, which joins the agenda if it is new.  The agenda is a stack,
-and tokens enter it in ascending start order, so every node that ends before
-``s`` leaves it before the first token starting at ``s``.  An item waiting at
-``s`` was therefore made before any node starting at ``s``, and meets each of
-them once, when the node leaves the agenda: every alternative is found once,
-and nothing needs recursion.  Tokens keep their ids; the other nodes are
-numbered as the chart creates them, and their alternatives are listed in the
-order the chart finds them.
+and tokens leave it in ascending start order; of the tokens with one start,
+the highest id leaves first.  That needs no sort: every graph numbers its
+tokens in start order (see `lexgraph.LexGraph`), so the agenda starts as the
+runs of ids with equal starts, last run first.  Every node that ends before
+``s`` leaves the agenda before the first token starting at ``s``.  An
+item waiting at ``s`` was therefore made before any node starting at ``s``,
+and meets each of them once, when the node leaves the agenda: every
+alternative is found once, and nothing needs recursion.  Tokens keep their
+ids; the other nodes are numbered as the chart creates them, and their
+alternatives are listed in the order the chart finds them.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import Decimal
+from itertools import groupby
 from math import prod
 
 from .lexgraph import LexGraph, _dot_escape
@@ -118,7 +123,8 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
     for rule in dict.fromkeys(grammar.rules):
         rules_by_first.setdefault(rule.rhs[0], []).append(rule)
     waiting: dict[tuple[str, int], list[tuple[GrammarRule, tuple[int, ...]]]] = {}
-    agenda = list(range(len(spans) - 1, -1, -1))
+    runs = [list(ids) for _, ids in groupby(range(len(spans)), starts.__getitem__)]
+    agenda = [i for ids in reversed(runs) for i in ids]
     while agenda:
         nid = agenda.pop()
         symbol, start, end = spans[nid]
@@ -224,9 +230,12 @@ def forest_to_json(f: ParseForest) -> str:
             for inst in f.instances
         ],
         "accepted": list(f.accepted),
-        "trees": _tree_count(f),
     }
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    # str() of an int longer than sys.get_int_max_str_digits() raises; a
+    # Decimal writes every digit.
+    trees = Decimal(_tree_count(f))
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))[:-1] + f',"trees":{trees}}}'
+
 
 
 def forest_to_dot(f: ParseForest) -> str:

@@ -89,9 +89,11 @@ def test_nested_long_token_does_not_hide_inner_blocker():
 
 
 def test_build_graph_requires_start_order():
-    toks = (Token(0, "T", "xx", 5, 6), Token(1, "T", "x", 0, 0))
-    with pytest.raises(ValueError):
-        build_graph(ScanResult(toks, 7, ()))
+    out_of_order = (Token(0, "T", "xx", 5, 6), Token(1, "T", "x", 0, 0))
+    misnumbered = (Token(1, "T", "x", 0, 0), Token(0, "T", "xx", 5, 6))
+    for toks in (out_of_order, misnumbered):
+        with pytest.raises(ValueError):
+            build_graph(ScanResult(toks, 7, ()))
 
 
 def test_random_interval_sets_match_oracle():
@@ -190,6 +192,29 @@ def test_json_schema_and_round_trip(numbers_graph):
     assert graph_from_json(text) == numbers_graph
 
 
+def _edited(edit):
+    def make(graph):
+        data = json.loads(to_json(graph))
+        edit(data)
+        return json.dumps(data)
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    _edited(lambda data: data["tokens"].reverse()),
+    _edited(lambda data: [rec.update(id=rec["id"] + 100) for rec in data["tokens"]]),
+    _edited(lambda data: data["tokens"][0].update(following=[])),
+    _edited(lambda data: data.update(start=[0, 1])),
+    lambda graph: '{"tokens":[{"id":0}],"input_length":1,"start":[]}',
+    lambda graph: '{"tokens":5,"input_length":1,"start":[]}',
+    lambda graph: "[]",
+], ids=["tokens-reversed", "ids-plus-100", "following-emptied", "start-edited",
+        "missing-field", "tokens-not-a-list", "not-an-object"])
+def test_graph_from_json_rejects_what_to_json_does_not_write(numbers_graph, make):
+    with pytest.raises(ValueError, match="^token graph JSON: "):
+        graph_from_json(make(numbers_graph))
+
+
 def test_json_empty_graph():
     assert to_json(build_graph(_intervals([]))) == '{"input_length":0,"tokens":[],"start":[]}'
 
@@ -221,6 +246,7 @@ def test_json_matches_json_dumps_byte_for_byte(numbers_graph):
         )
         graph = build_graph(ScanResult(tokens, result.input_length))
         assert to_json(graph) == _json_by_dumps(graph)
+        assert graph_from_json(to_json(graph)) == graph
 
 
 def test_serialized_outputs_are_stable(numbers_scan):

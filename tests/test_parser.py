@@ -181,6 +181,20 @@ def test_forest_json(numbers_graph, numbers_grammar):
     assert forest_to_json(forest) == forest_to_json(parse(numbers_graph, numbers_grammar))
 
 
+def test_forest_json_writes_every_digit_of_the_tree_count():
+    # 14,400 nodes of two alternatives each give 2**14400 trees: 4,335 digits,
+    # past the default limit on converting an int to str.
+    import json
+    from decimal import Decimal
+
+    nodes = [SymbolInstance(0, "X", 0, 0, (), "a"), SymbolInstance(1, "Y", 0, 0, (), "a"),
+             SymbolInstance(2, "N", 0, 0, ((0,), (1,)))]
+    nodes += (SymbolInstance(i, "N", 0, 0, ((i - 1, 0), (i - 1, 1))) for i in range(3, 14402))
+    payload = json.loads(forest_to_json(ParseForest(tuple(nodes), (14401,))), parse_int=Decimal)
+    assert payload["trees"] == 2**14400
+    assert payload["accepted"] == [14401]
+
+
 def test_forest_dot(numbers_graph, numbers_grammar):
     dot = forest_to_dot(parse(numbers_graph, numbers_grammar))
     assert dot.count("->") == 10  # E->A, E->B, 3 + 5 terminal links
@@ -344,6 +358,16 @@ def test_parse_takes_candidates_at_different_starts_in_id_order():
     ), "S")
     forest = _same_forest(graph, grammar)
     assert support.forest_accepted_trees(forest) == {("S", (0, ("N", (2,)))), ("S", (0, ("N", (1,))))}
+
+
+def test_parse_takes_tokens_of_one_start_highest_id_first():
+    # X@0-0 and Z@0-0 tie on their start; Z leaves the agenda first, so the
+    # one S node lists its alternative over Z first.
+    toks = (Token(0, "X", "x", 0, 0), Token(1, "Z", "z", 0, 0))
+    grammar = Grammar((GrammarRule("S", ("X",)), GrammarRule("S", ("Z",))), "S")
+    forest = parse(build_graph(ScanResult(toks, 1, ())), grammar)
+    assert forest.instances[2].alternatives == ((1,), (0,))
+    assert forest.accepted == (2,)
 
 
 def test_parse_tokens_listed_out_of_start_order():
