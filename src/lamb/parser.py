@@ -237,7 +237,6 @@ def forest_to_json(f: ParseForest) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))[:-1] + f',"trees":{trees}}}'
 
 
-
 def forest_to_dot(f: ParseForest) -> str:
     """The nodes reachable from accepted nodes as a DOT digraph, parent to
     child.  A node with more than one alternative points to one small vertex

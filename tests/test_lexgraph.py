@@ -208,8 +208,10 @@ def _edited(edit):
     lambda graph: '{"tokens":[{"id":0}],"input_length":1,"start":[]}',
     lambda graph: '{"tokens":5,"input_length":1,"start":[]}',
     lambda graph: "[]",
+    lambda graph: '{"input_length":1.0,"tokens":[],"start":[]}',
+    lambda graph: "[" * 100_000,
 ], ids=["tokens-reversed", "ids-plus-100", "following-emptied", "start-edited",
-        "missing-field", "tokens-not-a-list", "not-an-object"])
+        "missing-field", "tokens-not-a-list", "not-an-object", "float", "nested-too-deep"])
 def test_graph_from_json_rejects_what_to_json_does_not_write(numbers_graph, make):
     with pytest.raises(ValueError, match="^token graph JSON: "):
         graph_from_json(make(numbers_graph))
