@@ -3,6 +3,10 @@
 Exit codes: 0 on success (for ``parse``, at least one accepted tree), 2 when
 ``parse`` finds no valid sentence, 1 for spec/grammar/IO/usage errors and for
 ``--oracle-check`` divergences.  Diagnostics go to stderr, payload to stdout.
+
+The argument parser is built once per process, on the first `run`, and
+reused by every later call: ``parse_args`` leaves the parser unchanged and
+returns a fresh namespace each time.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import lexgraph, oracles, parser, scanner, spec_io
@@ -26,6 +31,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def _build_cli() -> _ArgumentParser:
     top = _ArgumentParser(prog="lamb", description="Ambiguity-aware lexical analysis")
     sub = top.add_subparsers(dest="command", required=True)

@@ -93,13 +93,23 @@ def build_graph(result: ScanResult) -> LexGraph:
     `scanner.scan` emits them, or `AdjacencyIndex` raises `ValueError`.  So
     the tokens that follow ``a`` form one contiguous slice of ids: those
     whose start lies in ``(a.end, min_end_after(a.end + 1)]``.  Two
-    bisections per token find it, and ``preceding`` is the inverse of the
+    bisections per distinct token end find it, tokens with one end share
+    one ``following`` tuple, and ``preceding`` is the inverse of the
     slices, so the build costs O(T log T + E) for T tokens and E edges.
     """
     toks = result.tokens
     n = len(toks)
     index = AdjacencyIndex(toks)
-    following = tuple(tuple(range(*index.window(t.end))) for t in toks)
+    window = index.window
+    ids = tuple(range(n))
+    by_end: dict[int, tuple[int, ...]] = {}
+    following = []
+    for t in toks:
+        successors = by_end.get(t.end)
+        if successors is None:
+            lo, hi = window(t.end)
+            successors = by_end[t.end] = ids[lo:hi]
+        following.append(successors)
     preceding: list[list[int]] = [[] for _ in range(n)]
     for i, successors in enumerate(following):
         for j in successors:
@@ -107,7 +117,7 @@ def build_graph(result: ScanResult) -> LexGraph:
     return LexGraph(
         tokens=toks,
         input_length=result.input_length,
-        following=following,
+        following=tuple(following),
         preceding=tuple(tuple(p) for p in preceding),
         start_set=tuple(i for i in range(n) if not preceding[i]),
         index=index,
@@ -171,15 +181,15 @@ def to_dot(g: LexGraph) -> str:
 def to_json(g: LexGraph) -> str:
     """Compact JSON, written directly: the same bytes as ``json.dumps`` of
     the payload with ``ensure_ascii=False`` and no spaces."""
-    following, preceding = g.following, g.preceding
-    records = ",".join(
-        f'{{"id":{t.id},"type":{_json_string(t.type_name)},"text":{_json_string(t.text)},'
-        f'"start":{t.start},"end":{t.end},"preceding":[{",".join(map(str, preceding[t.id]))}],'
-        f'"following":[{",".join(map(str, following[t.id]))}]}}'
-        for t in g.tokens
-    )
-    start = ",".join(map(str, g.start_set))
-    return f'{{"input_length":{g.input_length},"tokens":[{records}],"start":[{start}]}}'
+    records = ",".join([
+        f'{{"id":{i},"type":{_json_string(name)},"text":{_json_string(text)},'
+        f'"start":{start},"end":{end},"preceding":[{",".join(map(str, p))}],'
+        f'"following":[{",".join(map(str, f))}]}}'
+        for (i, name, text, start, end), p, f
+        in zip(g.tokens, g.preceding, g.following, strict=True)
+    ])
+    start_set = ",".join(map(str, g.start_set))
+    return f'{{"input_length":{g.input_length},"tokens":[{records}],"start":[{start_set}]}}'
 
 
 def graph_from_json(text: str) -> LexGraph:
@@ -188,9 +198,9 @@ def graph_from_json(text: str) -> LexGraph:
     The text must hold exactly the JSON value that `to_json` writes for that
     graph, keys in the same order; only spacing and string escapes may
     differ.  Anything else raises one `ValueError` that names the problem:
-    tokens not numbered ``0, 1, ...`` in ascending start order, a missing
-    field, a value of the wrong type, or edges or a start set that differ
-    from the rebuilt ones.
+    tokens not numbered ``0, 1, ...`` in ascending start order, a token span
+    that no scan produces, a missing field, a value of the wrong type, or
+    edges or a start set that differ from the rebuilt ones.
     """
     try:
         data = json.loads(text, parse_float=int)  # int() rejects every float literal
@@ -198,7 +208,12 @@ def graph_from_json(text: str) -> LexGraph:
             Token(rec["id"], rec["type"], rec["text"], rec["start"], rec["end"])
             for rec in data["tokens"]
         )
-        graph = build_graph(ScanResult(tokens, data["input_length"]))
+        input_length = data["input_length"]
+        for t in tokens:
+            if not (0 <= t.start <= t.end < input_length and len(t.text) == t.end - t.start + 1):
+                raise ValueError(f"token {t.id} ({t}) needs 0 <= start <= end < input_length "
+                                 f"({input_length}) and text of length end - start + 1")
+        graph = build_graph(ScanResult(tokens, input_length))
         same = json.dumps(data, ensure_ascii=False, separators=(",", ":")) == to_json(graph)
     except KeyError as exc:
         raise ValueError(f"token graph JSON: no field {exc}") from exc

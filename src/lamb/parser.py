@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from itertools import groupby
 from math import prod
+from typing import NamedTuple
 
 from .lexgraph import LexGraph, _dot_escape
 from .spec_io import Grammar, GrammarRule
@@ -56,9 +57,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymbolInstance:
-    """One node of the packed forest; an alternative is a tuple of child ids."""
+class SymbolInstance(NamedTuple):
+    """One node of the packed forest; an alternative is a tuple of child ids.
+
+    A named tuple: immutable and hashable, and equal to the plain tuple of
+    its fields.
+    """
 
     id: int
     type_name: str
@@ -172,13 +176,14 @@ def render_trees(f: ParseForest) -> str:
         while True:
             while todo is not None:
                 (nid, depth, k), todo = todo
-                node, pad = nodes[nid], "  " * depth
-                if not node.alternatives:
-                    lines.append(f'{pad}{node.type_name} "{node.text}" [{node.start}-{node.end}]')
+                _, type_name, start, end, alternatives, text = nodes[nid]
+                pad = "  " * depth
+                if not alternatives:
+                    lines.append(f'{pad}{type_name} "{text}" [{start}-{end}]')
                     continue
                 picks.append((nid, depth, k, todo, len(lines)))
-                lines.append(f"{pad}{node.type_name} [{node.start}-{node.end}]")
-                for child in reversed(node.alternatives[k]):
+                lines.append(f"{pad}{type_name} [{start}-{end}]")
+                for child in reversed(alternatives[k]):
                     todo = ((child, depth + 1, 0), todo)
             blocks.append("\n".join(lines))
             while picks and picks[-1][2] + 1 == len(nodes[picks[-1][0]].alternatives):

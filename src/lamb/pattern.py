@@ -9,11 +9,15 @@ backreferences, no counted repetition.
 Patterns compile to a small Thompson-style NFA.  Match queries run on a DFA
 built from it lazily by subset construction (Cox, "Regular Expression
 Matching Can Be Simple And Fast", 2007): a DFA state is the set of NFA states
-reachable so far, and its transition on a character is computed the first
-time that character is seen there, then kept.  A query therefore costs one
-dict lookup per character once the states it visits exist, and never more
-than one subset step per character, so it stays linear in the remaining
-input regardless of the pattern.
+reachable so far, and its transitions are computed the first time they are
+needed, then kept.  A transition is computed once per character class, as in
+RE2's DFA (Cox, "Regular Expression Matching in the Wild", 2010): the code
+points at which some edge label of the NFA starts or stops holding cut the
+alphabet into classes, two characters of one class satisfy the same labels,
+and so every state moves to the same state on both.  A query therefore costs
+one dict lookup per character once the states it visits exist, and never
+more than one subset step per character, so it stays linear in the
+remaining input regardless of the pattern.
 
 `union` puts several patterns, the matchers, into one `Automaton`: their NFA
 states share one numbering, and each DFA state records which matchers accept
@@ -29,6 +33,8 @@ competes, and the longest hit wins.  Zero-length matches are never reported.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 __all__ = ["Automaton", "Pattern", "PatternError", "compile", "union"]
 
@@ -61,18 +67,47 @@ def _label_matches(label: tuple, ch: str) -> bool:
     return label[2]
 
 
+_MAX_CHAR = chr(0x10FFFF)
 _DFA_CACHE_LIMIT = 4096  # DFA states kept per automaton before its cache is emptied
 
 
-class _DState:
-    """One DFA state: a set of NFA states and its transitions found so far."""
+def _class_bounds(edges) -> list[str]:
+    """The sorted code points at which some edge label starts or stops holding.
 
-    __slots__ = ("nfa", "accepts", "next")
+    A character's class is ``bisect_right(bounds, ch)``: the characters from
+    one bound up to the next satisfy exactly the same labels.
+    """
+    bounds = set()
+    for out in edges:
+        for label, _ in out:
+            if label[0] == "ch":
+                pairs = ((label[1], label[1]),)
+            elif label[0] == "any":
+                pairs = (("\n", "\n"),)
+            else:
+                pairs = label[1]
+            for lo, hi in pairs:
+                bounds.add(lo)
+                if hi < _MAX_CHAR:
+                    bounds.add(chr(ord(hi) + 1))
+    return sorted(bounds)
+
+
+class _DState:
+    """One DFA state: a set of NFA states and its transitions found so far.
+
+    A transition is computed once per character class, into ``by_class``;
+    ``next`` copies it for each character seen, so that a walk over known
+    states is one dict lookup per character.
+    """
+
+    __slots__ = ("nfa", "accepts", "next", "by_class")
 
     def __init__(self, nfa: frozenset[int], accepts: tuple[int, ...]):
         self.nfa = nfa
         self.accepts = accepts  # matchers whose accept state is in ``nfa``, ascending
         self.next: dict[str, _DState | bool] = {}  # False: the empty set, no match beyond
+        self.by_class: dict[int, _DState | bool] = {}
 
 
 class Automaton:
@@ -83,10 +118,13 @@ class Automaton:
     is kept in ``_starts``.  ``_dfa`` maps each NFA state set to its DFA
     state.  Both are caches that only gain states equal by content to ones
     they could have built, or are emptied together past ``_DFA_CACHE_LIMIT``
-    states, so answers never depend on earlier queries.
+    states, so answers never depend on earlier queries.  ``_bounds``, the
+    character class boundaries of the NFA's labels, is found by the first
+    subset step.
     """
 
-    __slots__ = ("_edges", "_closures", "_start_closures", "_accepting", "_dfa", "_starts")
+    __slots__ = ("_edges", "_closures", "_start_closures", "_accepting", "_dfa", "_starts",
+                 "_bounds")
 
     def __init__(self, edges, closures, start_closures, accepting):
         self._edges = edges
@@ -95,6 +133,7 @@ class Automaton:
         self._accepting = accepting  # NFA accept state -> its matcher
         self._dfa: dict[frozenset[int], _DState] = {}
         self._starts: dict[int, _DState] = {}
+        self._bounds: list[str] | None = None
 
     def longest_at(self, text: str, pos: int, live: int) -> list[tuple[int, int]] | tuple[()]:
         """``(k, length)`` of the longest match at ``pos`` of each matcher ``k`` in ``live``.
@@ -157,7 +196,18 @@ class Automaton:
         return state
 
     def _step(self, state: _DState, ch: str) -> _DState | bool:
-        """Compute and keep the transition of ``state`` on ``ch``."""
+        """Keep the transition of ``state`` on ``ch``, computed once per class."""
+        if self._bounds is None:
+            self._bounds = _class_bounds(self._edges)
+        cls = bisect_right(self._bounds, ch)
+        nxt = state.by_class.get(cls)
+        if nxt is None:
+            nxt = state.by_class[cls] = self._subset_step(state, ch)
+        state.next[ch] = nxt
+        return nxt
+
+    def _subset_step(self, state: _DState, ch: str) -> _DState | bool:
+        """The DFA state for the NFA states that ``state`` reaches on ``ch``."""
         edges = self._edges
         closures = self._closures
         moved: set[int] = set()
@@ -165,9 +215,7 @@ class Automaton:
             for label, target in edges[s]:
                 if _label_matches(label, ch):
                     moved |= closures[target]
-        nxt = self._intern(frozenset(moved)) if moved else False
-        state.next[ch] = nxt
-        return nxt
+        return self._intern(frozenset(moved)) if moved else False
 
 
 class Pattern(Automaton):

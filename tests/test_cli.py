@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lamb
 import support
+from lamb import cli
 from lamb.cli import run
 
 
@@ -221,6 +227,28 @@ def test_outputs_are_byte_stable(files, capsys):
         out, _ = capsys.readouterr()
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_calls_in_one_process_match_fresh_processes(files, capsys):
+    common = ["--spec", files["spec"], "--input", files["input"]]
+    calls = [
+        ["parse", *common],  # usage error: no --grammar
+        ["scan", *common, "--format", "json"],
+        ["sequences", *common, "--limit", "2"],
+        ["parse", *common, "--grammar", files["grammar"], "--format", "dot"],
+        ["scan", *common, "--format", "json"],
+        # Defaults that the calls above set otherwise.
+        ["scan", *common],
+        ["sequences", *common],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(lamb.__file__).parents[1])}
+    for argv in calls:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "lamb.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._build_cli() is cli._build_cli()  # one argument parser per process
 
 
 @pytest.mark.parametrize("flag", ["--input", "--spec", "--grammar"])

@@ -217,6 +217,17 @@ def test_graph_from_json_rejects_what_to_json_does_not_write(numbers_graph, make
         graph_from_json(make(numbers_graph))
 
 
+@pytest.mark.parametrize("token, input_length", [
+    (Token(1, "T", "", 4, 3), 9),      # end before start
+    (Token(1, "T", "xyz", 4, 5), 9),   # text one character too long
+    (Token(1, "T", "xy", 4, 5), 5),    # input_length short of the last end
+], ids=["end-before-start", "wrong-text-length", "input-too-short"])
+def test_graph_from_json_rejects_spans_no_scan_produces(token, input_length):
+    graph = build_graph(ScanResult((Token(0, "T", "abc", 0, 2), token), input_length))
+    with pytest.raises(ValueError, match="^token graph JSON: token 1 "):
+        graph_from_json(to_json(graph))
+
+
 def test_json_empty_graph():
     assert to_json(build_graph(_intervals([]))) == '{"input_length":0,"tokens":[],"start":[]}'
 

@@ -27,6 +27,17 @@ def _inst(iid, type_name, start, end):
     return SymbolInstance(iid, type_name, start, end, ())
 
 
+def test_symbol_instance_is_an_immutable_hashable_tuple():
+    node = SymbolInstance(4, "E", 0, 12, ((0, 1),))
+    assert node == (4, "E", 0, 12, ((0, 1),), None)
+    assert hash(node) == hash((4, "E", 0, 12, ((0, 1),), None))
+    assert repr(node) == ("SymbolInstance(id=4, type_name='E', start=0, end=12, "
+                          "alternatives=((0, 1),), text=None)")
+    assert SymbolInstance(0, "Real", 1, 3, (), "5.2").text == "5.2"
+    with pytest.raises(AttributeError):
+        node.start = 0
+
+
 def test_extended_follows_spans_ignored_gaps(numbers_graph):
     a = _inst(100, "A", 0, 4)
     b = _inst(101, "B", 6, 12)
