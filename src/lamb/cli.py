@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from functools import cache
 from pathlib import Path
 
@@ -110,7 +111,9 @@ def run(argv: list[str]) -> int:
     elif args.command == "sequences":
         paths, truncated = lexgraph.enumerate_sequences(graph, args.limit)
         if truncated:
-            _warn(f"sequence list truncated at {args.limit}")
+            # A Decimal writes every digit of a count too long for str().
+            total = Decimal(lexgraph.count_sequences(graph))
+            _warn(f"sequence list truncated at {args.limit} of {total}")
         if args.format == "text":
             for path in paths:
                 print(" ".join(graph.tokens[i].type_name for i in path))

@@ -5,15 +5,19 @@ no token lies strictly between them (i.e. starts after ``a`` ends and ends
 before ``b`` starts).  Gaps of ignored text do not block adjacency, only
 tokens do.  Tokens with no predecessor form the start set; every maximal path
 through the following-relation is one possible tokenization of the input.
+
+A graph holds its tokens and their `AdjacencyIndex`.  The edges are views of
+the index, computed the first time something reads them: the serializers and
+`enumerate_sequences` do, `parser.parse` does not.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from itertools import accumulate
+from bisect import bisect_right
+from functools import cached_property
+from itertools import accumulate, islice
 from json.encoder import encode_basestring as _json_string
 
 from .scanner import ScanResult, Token
@@ -22,6 +26,7 @@ __all__ = [
     "AdjacencyIndex",
     "LexGraph",
     "build_graph",
+    "count_sequences",
     "enumerate_sequences",
     "graph_from_json",
     "to_dot",
@@ -32,11 +37,10 @@ __all__ = [
 class AdjacencyIndex:
     """Token starts in ascending order plus a suffix minimum of token ends.
 
-    ``min_end_after(p)`` is the smallest end of any token starting at or
-    after offset ``p`` (infinite when none does).  Token ``b`` follows ``a``
-    exactly when ``a.end < b.start <= min_end_after(a.end + 1)``: every token
-    starting after ``a`` ends and ending before ``b`` starts would sit strictly
-    between them.
+    Token ``b`` follows ``a`` exactly when ``a.end < b.start <= m``, where
+    ``m`` is the smallest end of any token starting after ``a`` ends
+    (infinite when none does): every token starting after ``a`` ends and
+    ending before ``b`` starts would sit strictly between them.
 
     The tokens must be numbered ``0, 1, ...`` in ascending start order, so
     that a position in ``starts`` is a token id.  This is the one place that
@@ -46,14 +50,11 @@ class AdjacencyIndex:
     __slots__ = ("starts", "_suffix_min_end")
 
     def __init__(self, tokens: tuple[Token, ...]):
-        self.starts = [t.start for t in tokens]
-        if self.starts != sorted(self.starts) or [t.id for t in tokens] != list(range(len(tokens))):
+        ids, _, _, self.starts, ends = zip(*tokens) if tokens else ((),) * 5
+        if ids != tuple(range(len(ids))) or list(self.starts) != sorted(self.starts):
             raise ValueError("tokens must be numbered 0, 1, ... in ascending start order")
-        ends = reversed([t.end for t in tokens])
-        self._suffix_min_end = list(accumulate(ends, min, initial=math.inf))[::-1]
-
-    def min_end_after(self, p: int) -> float:
-        return self._suffix_min_end[bisect_left(self.starts, p)]
+        self._suffix_min_end = [*accumulate(reversed(ends), min, initial=math.inf)]
+        self._suffix_min_end.reverse()
 
     def window(self, end: int) -> tuple[int, int]:
         """Positions in ``starts`` of the tokens that may follow a symbol ending at ``end``."""
@@ -61,102 +62,97 @@ class AdjacencyIndex:
         return lo, bisect_right(self.starts, self._suffix_min_end[lo], lo)
 
     def follows(self, end: int, start: int) -> bool:
-        return end < start <= self.min_end_after(end + 1)
+        return end < start <= self._suffix_min_end[bisect_right(self.starts, end)]
 
     def spans_all(self, start: int, end: int) -> bool:
         """No token ends before ``start`` or starts after ``end``."""
         return not self.starts or (start <= self._suffix_min_end[0] and end >= self.starts[-1])
 
 
-@dataclass(frozen=True)
 class LexGraph:
-    """Tokens numbered ``0, 1, ...`` in ascending start order, and the edges
-    between them; a graph outside that order raises `ValueError`."""
+    """Tokens numbered ``0, 1, ...`` in ascending start order, the input
+    length, and the tokens' `AdjacencyIndex`; other tokens raise `ValueError`.
 
-    tokens: tuple[Token, ...]
-    input_length: int
-    following: tuple[tuple[int, ...], ...]  # indexed by token id, ids ascending
-    preceding: tuple[tuple[int, ...], ...]
-    start_set: tuple[int, ...]
-    # Built from ``tokens`` when not given; derived data, so not compared.
-    index: AdjacencyIndex = field(default=None, compare=False, repr=False)
+    The edges are computed from the index on first read, then kept; a graph
+    given ``edges``, a ``(following, preceding, start_set)`` triple, keeps
+    those instead.  Two graphs are equal when their tokens, input lengths
+    and edges are.
+    """
 
-    def __post_init__(self):
-        if self.index is None:
-            object.__setattr__(self, "index", AdjacencyIndex(self.tokens))
+    def __init__(self, tokens: tuple[Token, ...], input_length: int, edges: tuple | None = None):
+        self.tokens = tokens
+        self.input_length = input_length
+        self.index = AdjacencyIndex(tokens)
+        if edges is not None:
+            self.following, self.preceding, self.start_set = edges
+
+    def __eq__(self, other):
+        keys = ("tokens", "input_length", "following", "preceding", "start_set")
+        return isinstance(other, LexGraph) and all(getattr(self, k) == getattr(other, k) for k in keys)
+
+    @cached_property
+    def following(self) -> tuple[tuple[int, ...], ...]:
+        """Per token id, the ids that follow it: the slice of ids in
+        ``index.window(end)``, one tuple per distinct end."""
+        ids, window = tuple(range(len(self.tokens))), self.index.window
+        by_end = {end: ids[slice(*window(end))] for end in {t.end for t in self.tokens}}
+        return tuple([by_end[t.end] for t in self.tokens])
+
+    @cached_property
+    def preceding(self) -> tuple[tuple[int, ...], ...]:
+        """Per token id, the ids it follows, ascending: ``following`` inverted."""
+        preceding: list[list[int]] = [[] for _ in self.tokens]
+        for i, successors in enumerate(self.following):
+            for j in successors:
+                preceding[j].append(i)
+        return tuple(map(tuple, preceding))
+
+    @cached_property
+    def start_set(self) -> tuple[int, ...]:
+        """The tokens that follow none: all that start at or before the
+        smallest end, the ids in ``index.window(-1)``."""
+        return tuple(range(self.index.window(-1)[1]))
 
 
 def build_graph(result: ScanResult) -> LexGraph:
-    """Compute following/preceding sets from the adjacency index.
-
-    The tokens must be numbered ``0, 1, ...`` in ascending start order, as
-    `scanner.scan` emits them, or `AdjacencyIndex` raises `ValueError`.  So
-    the tokens that follow ``a`` form one contiguous slice of ids: those
-    whose start lies in ``(a.end, min_end_after(a.end + 1)]``.  Two
-    bisections per distinct token end find it, tokens with one end share
-    one ``following`` tuple, and ``preceding`` is the inverse of the
-    slices, so the build costs O(T log T + E) for T tokens and E edges.
-    """
-    toks = result.tokens
-    n = len(toks)
-    index = AdjacencyIndex(toks)
-    window = index.window
-    ids = tuple(range(n))
-    by_end: dict[int, tuple[int, ...]] = {}
-    following = []
-    for t in toks:
-        successors = by_end.get(t.end)
-        if successors is None:
-            lo, hi = window(t.end)
-            successors = by_end[t.end] = ids[lo:hi]
-        following.append(successors)
-    preceding: list[list[int]] = [[] for _ in range(n)]
-    for i, successors in enumerate(following):
-        for j in successors:
-            preceding[j].append(i)
-    return LexGraph(
-        tokens=toks,
-        input_length=result.input_length,
-        following=tuple(following),
-        preceding=tuple(tuple(p) for p in preceding),
-        start_set=tuple(i for i in range(n) if not preceding[i]),
-        index=index,
-    )
+    """The graph of ``result``'s tokens, numbered in start order as
+    `scanner.scan` emits them.  It builds only the index, in O(T log T) for T
+    tokens; the edges cost O(T log T + E) for E edges when first read."""
+    return LexGraph(result.tokens, result.input_length)
 
 
 def _iter_paths(g: LexGraph):
     """All maximal paths (start-set token to sink), lexicographic by token id."""
+    following = g.following
     for s in g.start_set:
-        if not g.following[s]:
-            yield [s]
-            continue
-        path = [s]
-        iters = [iter(g.following[s])]
+        path, iters = [s], [iter(following[s])]
         while iters:
             nxt = next(iters[-1], None)
-            if nxt is None:
-                iters.pop()
-                path.pop()
+            if nxt is not None:
+                path.append(nxt)
+                iters.append(iter(following[nxt]))
                 continue
-            path.append(nxt)
-            successors = g.following[nxt]
-            if successors:
-                iters.append(iter(successors))
-            else:
+            if not following[path[-1]]:
                 yield path.copy()
-                path.pop()
+            iters.pop()
+            path.pop()
 
 
 def enumerate_sequences(g: LexGraph, limit: int) -> tuple[list[list[int]], bool]:
     """Up to ``limit`` token-id paths plus a flag saying whether more exist."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    paths: list[list[int]] = []
-    for path in _iter_paths(g):
-        if len(paths) == limit:
-            return paths, True
-        paths.append(path)
-    return paths, False
+    paths = list(islice(_iter_paths(g), limit + 1))
+    return paths[:limit], len(paths) > limit
+
+
+def count_sequences(g: LexGraph) -> int:
+    """The number of maximal paths, by a DP over token ids in descending
+    order: a successor's id is always larger than its predecessor's."""
+    paths = [0] * len(g.tokens)
+    for i in reversed(range(len(g.tokens))):
+        paths[i] = sum(paths[j] for j in g.following[i]) if g.following[i] else 1
+    return sum(paths[s] for s in g.start_set)
 
 
 def _dot_escape(s: str) -> str:

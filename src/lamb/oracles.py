@@ -105,9 +105,11 @@ def scan_oracle(spec: LexSpec, text: str) -> ScanResult:
 def build_graph_oracle(result: ScanResult) -> LexGraph:
     """Adjacency straight from the definition, one triple loop, no shortcuts.
 
-    Like `lexgraph.build_graph`, it takes tokens numbered ``0, 1, ...`` in
-    ascending start order; the `LexGraph` it returns raises `ValueError` on
-    any other list.
+    The edges are computed here and handed to the `LexGraph` whole, so
+    comparing it with `lexgraph.build_graph`'s graph compares those edges
+    with the ones computed from the adjacency index.  Like `build_graph`, it
+    takes tokens numbered ``0, 1, ...`` in ascending start order; the
+    `LexGraph` it returns raises `ValueError` on any other list.
     """
     toks = result.tokens
     following: dict[int, list[int]] = {t.id: [] for t in toks}
@@ -119,10 +121,8 @@ def build_graph_oracle(result: ScanResult) -> LexGraph:
             ):
                 following[a.id].append(b.id)
                 preceding[b.id].append(a.id)
-    return LexGraph(
-        tokens=toks,
-        input_length=result.input_length,
-        following=tuple(tuple(sorted(following[t.id])) for t in toks),
-        preceding=tuple(tuple(sorted(preceding[t.id])) for t in toks),
-        start_set=tuple(t.id for t in toks if not preceding[t.id]),
-    )
+    return LexGraph(toks, result.input_length, edges=(
+        tuple(tuple(sorted(following[t.id])) for t in toks),
+        tuple(tuple(sorted(preceding[t.id])) for t in toks),
+        tuple(t.id for t in toks if not preceding[t.id]),
+    ))

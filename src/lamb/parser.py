@@ -11,15 +11,18 @@ second starts after the first ends and no *terminal* token lies strictly
 between them; on terminals this is exactly the graph's following-relation.  A
 parse is accepted when a start-symbol node spans the whole tokenized input: no
 terminal ends before it starts or starts after it ends.  Both tests are O(1)
-lookups in the graph's adjacency index (see `lexgraph.AdjacencyIndex`).
+lookups in the graph's adjacency index (see `lexgraph.AdjacencyIndex`), and
+the parser reads nothing of the graph but its tokens and that index: it
+never computes the graph's edges.
 
 The chart grows bottom-up from an agenda of nodes, left to right.  A partial
 item is a rule with the children matched so far.  It waits under ``(next
 symbol, s)`` for each token start ``s`` that may follow its last child.  When
 a node leaves the agenda, it starts a partial item for each rule whose body
-begins with its symbol, and extends each partial item waiting for it; an item
-that is complete becomes an alternative of the node for its rule's left-hand
-side and span, which joins the agenda if it is new.  The agenda is a stack,
+begins with its symbol, and extends each partial item waiting for it; the
+starts that may follow an end are asked of the index once per distinct end.
+An item that is complete becomes an alternative of the node for its rule's
+left-hand side and span, which joins the agenda if it is new.  The agenda is a stack,
 and tokens leave it in ascending start order; of the tokens with one start,
 the highest id leaves first.  That needs no sort: every graph numbers its
 tokens in start order (see `lexgraph.LexGraph`), so the agenda starts as the
@@ -38,7 +41,8 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import groupby
+from functools import partial
+from itertools import chain, groupby
 from math import prod
 from typing import NamedTuple
 
@@ -120,13 +124,14 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
     many trees.  A rule listed twice counts once.
     """
     starts, window = g.index.starts, g.index.window
-    spans = [(t.type_name, t.start, t.end) for t in g.tokens]  # by node id
+    spans = [(name, start, end) for _, name, _, start, end in g.tokens]  # by node id
     alternatives: list[list[tuple[int, ...]]] = [[] for _ in spans]
     node_of: dict[tuple[str, int, int], int] = {}
     rules_by_first: dict[str, list[GrammarRule]] = {}
     for rule in dict.fromkeys(grammar.rules):
         rules_by_first.setdefault(rule.rhs[0], []).append(rule)
     waiting: dict[tuple[str, int], list[tuple[GrammarRule, tuple[int, ...]]]] = {}
+    next_starts: dict[int, dict[int, None]] = {}  # end -> distinct starts in window(end)
     runs = [list(ids) for _, ids in groupby(range(len(spans)), starts.__getitem__)]
     agenda = [i for ids in reversed(runs) for i in ids]
     while agenda:
@@ -136,9 +141,13 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
         grown += [(rule, done + (nid,)) for rule, done in waiting.get((symbol, start), ())]
         for rule, children in grown:
             if len(children) < len(rule.rhs):
-                lo, hi = window(end)
-                for s in dict.fromkeys(starts[lo:hi]):
-                    waiting.setdefault((rule.rhs[len(children)], s), []).append((rule, children))
+                successors = next_starts.get(end)
+                if successors is None:
+                    lo, hi = window(end)
+                    successors = next_starts[end] = dict.fromkeys(starts[lo:hi])
+                wanted = rule.rhs[len(children)]
+                for s in successors:
+                    waiting.setdefault((wanted, s), []).append((rule, children))
                 continue
             span = (rule.lhs, spans[children[0]][1], end)
             target = node_of.get(span)
@@ -148,11 +157,16 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
                 alternatives.append([])
                 agenda.append(target)
             alternatives[target].append(children)
-    instances = [SymbolInstance(t.id, t.type_name, t.start, t.end, (), t.text) for t in g.tokens]
-    instances += (SymbolInstance(i, *spans[i], tuple(alts)) for i, alts in enumerate(alternatives) if alts)
-    whole = g.index.spans_all
-    accepted = tuple(i.id for i in instances if i.type_name == grammar.start_symbol and whole(i.start, i.end))
-    return ParseForest(tuple(instances), accepted)
+    # tuple.__new__ builds each node from the tuple of its fields, without
+    # the named tuple's per-field __new__.
+    node, n = partial(tuple.__new__, SymbolInstance), len(g.tokens)
+    instances = tuple(map(node, chain(
+        ((i, name, start, end, (), text) for i, name, text, start, end in g.tokens),
+        ((i, *spans[i], tuple(alternatives[i]), None) for i in range(n, len(spans))),
+    )))
+    whole, root = g.index.spans_all, grammar.start_symbol
+    accepted = tuple(i for i, (symbol, start, end) in enumerate(spans) if symbol == root and whole(start, end))
+    return ParseForest(instances, accepted)
 
 
 def render_trees(f: ParseForest) -> str:

@@ -69,12 +69,12 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     # Bits of the matchers a match of matcher k moves past i: itself and
     # its lower-precedence suffix.
     moved = [1 << k | ((1 << m) - (1 << lower[k])) for k in range(m)]
-    tokens: list[Token] = []
+    found: list[tuple[str, int, int]] = []  # (name, start, end) of each token
     ignored: list[tuple[int, int]] = []
     all_live = live = (1 << m) - 1  # live: the matchers whose watermark is below i
-    wake_at: dict[int, int] = {}  # offset -> matchers whose watermark was set just before it
+    wake_at = [0] * (len(text) + 1)  # by offset: matchers whose watermark was set just before it
     for i in range(len(text)):
-        woken = wake_at.pop(i, 0)
+        woken = wake_at[i]
         while woken:  # skip matchers whose watermark has since moved to i or beyond
             bit = woken & -woken
             if marks[bit.bit_length() - 1] < i:
@@ -97,14 +97,16 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
             j = lower[k]
             marks[j:] = [new_mark] * (m - j)
             live &= ~moved[k]
-            wake_at[new_mark + 1] = wake_at.get(new_mark + 1, 0) | moved[k]
+            wake_at[new_mark + 1] |= moved[k]
             if priorities[k] >= 1:
-                tokens.append(Token(len(tokens), names[k], text[i:end + 1], i, end))
+                found.append((names[k], i, end))
             else:
                 ignored.append((i, end))
                 if priorities[k] == 0:
                     break  # an ignored match suppresses everything else here
-    return ScanResult(tuple(tokens), len(text), tuple(ignored))
+    tokens = tuple([Token(k, name, text[start:end + 1], start, end)
+                    for k, (name, start, end) in enumerate(found)])
+    return ScanResult(tokens, len(text), tuple(ignored))
 
 
 def uncovered_spans(result: ScanResult) -> list[tuple[int, int]]:

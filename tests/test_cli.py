@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import lamb
 import support
-from lamb import cli
+from lamb import cli, lexgraph
 from lamb.cli import run
 
 
@@ -69,7 +70,20 @@ def test_sequences_limit_warns_when_truncated(files, capsys):
     out, err = capsys.readouterr()
     assert code == 0
     assert len(out.splitlines()) == 2
-    assert "truncated" in err
+    assert err == "lamb: warning: sequence list truncated at 2 of 4\n"
+
+
+def test_truncation_warning_states_a_total_of_any_length(files, capsys):
+    spec = files["dir"] / "wide.lamb"
+    spec.write_text("token F 1 /b/\ntoken X 1 /a/\ntoken Y 1 /a/\nignore / +/\n", encoding="utf-8")
+    source = files["dir"] / "wide.txt"
+    source.write_text("b" + " a" * 14400, encoding="utf-8")  # X or Y at each of 14400 places
+    code = run(["sequences", "--spec", str(spec), "--input", str(source), "--limit", "1"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == "F" + " X" * 14400 + "\n"
+    # str() of an int this long raises; Decimal() of an int is exact.
+    assert err == f"lamb: warning: sequence list truncated at 1 of {Decimal(2 ** 14400)}\n"
 
 
 def test_bad_limit_is_rejected_before_the_input_is_scanned(files, capsys):
@@ -216,6 +230,27 @@ def test_oracle_check_keeps_payload_and_exit_code(files, capsys):
     checked_out, _ = capsys.readouterr()
     assert plain == checked == 0
     assert plain_out == checked_out
+
+
+@pytest.mark.parametrize("command", [
+    ["parse", "--grammar", "{grammar}"],
+    ["scan", "--format", "text"],
+], ids=["parse", "scan-text"])
+def test_command_leaves_the_edges_uncomputed(files, capsys, monkeypatch, command):
+    graphs = []
+    build = lexgraph.build_graph
+
+    def recording(result):
+        graphs.append(build(result))
+        return graphs[-1]
+
+    monkeypatch.setattr(lexgraph, "build_graph", recording)
+    argv = [arg.format(**files) for arg in command]
+    assert run([*argv, "--spec", files["spec"], "--input", files["input"]]) == 0
+    capsys.readouterr()
+    [graph] = graphs
+    assert not {"following", "preceding", "start_set"} & vars(graph).keys()
+    assert graph.following[0] == (1, 2) and "following" in vars(graph)  # kept once read
 
 
 def test_outputs_are_byte_stable(files, capsys):

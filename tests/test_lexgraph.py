@@ -5,6 +5,7 @@ import pytest
 
 import support
 from lamb import (
+    LexGraph,
     build_graph,
     build_graph_oracle,
     enumerate_sequences,
@@ -12,6 +13,7 @@ from lamb import (
     to_dot,
     to_json,
 )
+from lamb.lexgraph import count_sequences
 from lamb.scanner import ScanResult, Token
 
 # Edge list for the numbers example, frozen from the triple-loop oracle.
@@ -23,6 +25,10 @@ EXPECTED_NUMBERS_EDGES = [
 
 def _edges(graph):
     return [(a, b) for a in range(len(graph.tokens)) for b in graph.following[a]]
+
+
+def _materialized(graph):
+    return graph.following, graph.preceding, graph.start_set
 
 
 def _intervals(spans, type_name="T"):
@@ -43,7 +49,14 @@ def test_numbers_graph_edges(numbers_graph):
 
 
 def test_numbers_graph_equals_oracle(numbers_scan, numbers_graph):
-    assert build_graph_oracle(numbers_scan) == numbers_graph
+    oracle = build_graph_oracle(numbers_scan)
+    assert _materialized(oracle) == _materialized(numbers_graph)
+    assert oracle == numbers_graph
+    # Equality compares the edges, not just the tokens.
+    following, preceding, start_set = _materialized(numbers_graph)
+    cut = LexGraph(numbers_scan.tokens, numbers_scan.input_length,
+                   edges=((following[0][1:], *following[1:]), preceding, start_set))
+    assert cut != numbers_graph and numbers_graph != cut
 
 
 def test_preceding_is_exact_inverse(numbers_graph):
@@ -102,6 +115,7 @@ def test_random_interval_sets_match_oracle():
         result = support.random_interval_result(rng)
         fast = build_graph(result)
         slow = build_graph_oracle(result)
+        assert _materialized(fast) == _materialized(slow)
         assert fast == slow
         for a in range(len(fast.tokens)):
             for b in fast.following[a]:
@@ -152,6 +166,16 @@ def test_sequences_linear_chain():
 def test_sequences_empty_graph():
     graph = build_graph(_intervals([]))
     assert enumerate_sequences(graph, 5) == ([], False)
+
+
+def test_count_sequences_matches_enumeration(numbers_graph):
+    assert count_sequences(numbers_graph) == 4
+    assert count_sequences(build_graph(_intervals([]))) == 0
+    rng = random.Random(4)
+    for _ in range(200):
+        graph = build_graph(support.random_interval_result(rng, max_tokens=20, field=30))
+        paths, truncated = enumerate_sequences(graph, 100_000)
+        assert not truncated and count_sequences(graph) == len(paths)
 
 
 def test_sequences_limit_and_truncation(numbers_graph):
