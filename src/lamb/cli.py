@@ -7,6 +7,13 @@ Exit codes: 0 on success (for ``parse``, at least one accepted tree), 2 when
 The argument parser is built once per process, on the first `run`, and
 reused by every later call: ``parse_args`` leaves the parser unchanged and
 returns a fresh namespace each time.
+
+Compiled specs and grammars are kept per process too, keyed by the contents
+of their files, up to ``_MEMO_SIZE`` of each, least recently used dropped
+first.  Files are still read on every call, so an edited file is loaded
+afresh; a file that fails to load is never kept.  A kept spec keeps its
+automaton, with the DFA states earlier scans built; those only ever equal
+states a fresh automaton would build, so no output depends on earlier calls.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import argparse
 import json
 import sys
 from decimal import Decimal
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 from . import lexgraph, oracles, parser, scanner, spec_io
@@ -58,6 +65,20 @@ def _build_cli() -> _ArgumentParser:
     return top
 
 
+_MEMO_SIZE = 32  # compiled specs, and grammars, kept per process
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _load_spec(text: str) -> spec_io.LexSpec:
+    return spec_io.parse_lex_spec(text)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _load_grammar(text: str, spec_text: str) -> spec_io.Grammar:
+    """Keyed by the spec's text as well: a grammar is checked against its spec."""
+    return spec_io.parse_grammar(text, _load_spec(spec_text))
+
+
 def _read(path: str) -> str:
     """The file's or stdin's bytes as UTF-8, line endings kept, so that token
     offsets count the same characters whichever way the input arrives."""
@@ -84,10 +105,11 @@ def run(argv: list[str]) -> int:
         return 1
 
     try:
-        spec = spec_io.parse_lex_spec(_read(args.spec))
+        spec_text = _read(args.spec)
+        spec = _load_spec(spec_text)
         grammar = None
         if args.command == "parse":
-            grammar = spec_io.parse_grammar(_read(args.grammar), spec)
+            grammar = _load_grammar(_read(args.grammar), spec_text)
         text = _read(args.input)
     except (OSError, spec_io.SpecError) as exc:
         print(f"lamb: error: {exc}", file=sys.stderr)

@@ -24,9 +24,11 @@ states share one numbering, and each DFA state records which matchers accept
 in it.  One walk from a position then gives the longest match of every
 matcher the query names, which is how the scanner tries a whole spec at once.
 A `Pattern` is the one-matcher case of the same automaton.  Each automaton
-keeps at most ``_DFA_CACHE_LIMIT`` states; past that its cache is emptied and
-rebuilt on demand, so memory stays bounded on patterns whose full DFA is
-exponential.
+keeps at most ``_DFA_CACHE_LIMIT`` states and ``_DFA_TRANSITION_LIMIT``
+per-character transitions; past either its cache is emptied and rebuilt on
+demand, so memory stays bounded on patterns whose full DFA is exponential
+and on inputs of many distinct characters, even for an automaton that lives
+as long as the process.
 
 Matching is anchored at the query position, every alternation branch
 competes, and the longest hit wins.  Zero-length matches are never reported.
@@ -69,6 +71,7 @@ def _label_matches(label: tuple, ch: str) -> bool:
 
 _MAX_CHAR = chr(0x10FFFF)
 _DFA_CACHE_LIMIT = 4096  # DFA states kept per automaton before its cache is emptied
+_DFA_TRANSITION_LIMIT = 16384  # entries of the states' ``next`` dicts, likewise
 
 
 def _class_bounds(edges) -> list[str]:
@@ -118,13 +121,14 @@ class Automaton:
     is kept in ``_starts``.  ``_dfa`` maps each NFA state set to its DFA
     state.  Both are caches that only gain states equal by content to ones
     they could have built, or are emptied together past ``_DFA_CACHE_LIMIT``
-    states, so answers never depend on earlier queries.  ``_bounds``, the
-    character class boundaries of the NFA's labels, is found by the first
-    subset step.
+    states or ``_DFA_TRANSITION_LIMIT`` transitions (``_transitions`` counts
+    those added since the last emptying), so answers never depend on earlier
+    queries.  ``_bounds``, the character class boundaries of the NFA's
+    labels, is found by the first subset step.
     """
 
     __slots__ = ("_edges", "_closures", "_start_closures", "_accepting", "_dfa", "_starts",
-                 "_bounds")
+                 "_transitions", "_bounds")
 
     def __init__(self, edges, closures, start_closures, accepting):
         self._edges = edges
@@ -133,6 +137,7 @@ class Automaton:
         self._accepting = accepting  # NFA accept state -> its matcher
         self._dfa: dict[frozenset[int], _DState] = {}
         self._starts: dict[int, _DState] = {}
+        self._transitions = 0
         self._bounds: list[str] | None = None
 
     def longest_at(self, text: str, pos: int, live: int) -> list[tuple[int, int]] | tuple[()]:
@@ -187,9 +192,7 @@ class Automaton:
         state = self._dfa.get(nfa)
         if state is None:
             if len(self._dfa) >= _DFA_CACHE_LIMIT:
-                # Old states stay reachable only from a query still running.
-                self._dfa.clear()
-                self._starts.clear()
+                self._clear()
             accepting = self._accepting
             accepts = tuple(sorted(accepting[s] for s in nfa if s in accepting))
             state = self._dfa[nfa] = _DState(nfa, accepts)
@@ -203,8 +206,17 @@ class Automaton:
         nxt = state.by_class.get(cls)
         if nxt is None:
             nxt = state.by_class[cls] = self._subset_step(state, ch)
+        if self._transitions >= _DFA_TRANSITION_LIMIT:
+            self._clear()
         state.next[ch] = nxt
+        self._transitions += 1
         return nxt
+
+    def _clear(self) -> None:
+        # Old states stay reachable only from a query still running.
+        self._dfa.clear()
+        self._starts.clear()
+        self._transitions = 0
 
     def _subset_step(self, state: _DState, ch: str) -> _DState | bool:
         """The DFA state for the NFA states that ``state`` reaches on ``ch``."""

@@ -13,6 +13,8 @@ import support
 from lamb import cli, lexgraph
 from lamb.cli import run
 
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -334,3 +336,91 @@ def test_deeply_nested_bad_pattern_is_an_error(files, capsys):
     assert out == ""
     assert err.startswith("lamb: error: line 1: bad pattern: unbalanced group in pattern '((")
     assert err.endswith("' at position 0\n")
+
+
+def _sample_calls(files):
+    """Every command, format and ``--oracle-check`` setting on both samples."""
+    reserved_input = files["dir"] / "reserved.txt"
+    reserved_input.write_text("if while foo true\n", encoding="utf-8")
+    reserved_grammar = files["dir"] / "reserved.grammar"
+    reserved_grammar.write_text("S ::= IF WHILE IDENTIFIER BOOLEAN\n", encoding="utf-8")
+    samples = [(SAMPLES / "numbers.lamb", SAMPLES / "numbers.grammar", SAMPLES / "numbers.txt"),
+               (SAMPLES / "reserved.lamb", reserved_grammar, reserved_input)]
+    commands = [("scan", ("text", "json", "dot")), ("sequences", ("text", "json")),
+                ("parse", ("text", "json", "dot"))]
+    for spec, grammar, source in samples:
+        for command, formats in commands:
+            for fmt in formats:
+                for check in ([], ["--oracle-check"]):
+                    argv = [command, "--spec", str(spec), "--input", str(source), "--format", fmt, *check]
+                    yield argv + ["--grammar", str(grammar)] if command == "parse" else argv
+
+
+def test_cold_and_warm_calls_give_the_same_bytes(files, capsys):
+    for argv in _sample_calls(files):
+        cli._load_spec.cache_clear()
+        cli._load_grammar.cache_clear()
+        outputs = []
+        for _ in range(2):
+            code = run(argv)
+            out, err = capsys.readouterr()
+            outputs.append((code, out, err))
+        assert outputs[0] == outputs[1], argv
+        assert outputs[0][0] == 0 and outputs[0][1], argv
+        assert cli._load_spec.cache_info().misses == 1, argv  # the second call reused the spec
+
+
+def test_rewritten_spec_is_loaded_afresh(files, capsys):
+    spec = files["dir"] / "words.lamb"
+    source = files["dir"] / "ab.txt"
+    source.write_text("ab", encoding="utf-8")
+    outputs = []
+    for text in ("token A 1 /a/\ntoken B 1 /b/\n", "token W 1 /ab/\n"):
+        spec.write_text(text, encoding="utf-8")
+        assert run(["scan", "--spec", str(spec), "--input", str(source)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == ["0\tA\t0-0\ta\n1\tB\t1-1\tb\n", "0\tW\t0-1\tab\n"]
+
+
+def test_spec_and_grammar_errors_are_reported_on_every_call(files, capsys):
+    bad_spec = files["dir"] / "bad.lamb"
+    bad_spec.write_text("token A 0 /a/\n", encoding="utf-8")
+    bad_grammar = files["dir"] / "bad.grammar"
+    bad_grammar.write_text("E ::= Nope\n", encoding="utf-8")
+    cases = [
+        (["scan", "--spec", str(bad_spec), "--input", files["input"]], cli._load_spec,
+         "lamb: error: line 1: priority must be >= 1, got 0\n"),
+        (["parse", "--spec", files["spec"], "--grammar", str(bad_grammar), "--input", files["input"]],
+         cli._load_grammar, "lamb: error: line 1: undefined symbol 'Nope'\n"),
+    ]
+    for argv, memo, message in cases:
+        misses = memo.cache_info().misses
+        for _ in range(3):
+            assert run(argv) == 1
+            assert capsys.readouterr() == ("", message)
+        assert memo.cache_info().misses == misses + 3  # a failed load is never kept
+
+
+def test_grammar_is_checked_against_each_spec(files, capsys):
+    without_real = files["dir"] / "no-real.lamb"
+    without_real.write_text(support.numbers_spec_text().replace("token Real", "# token Real"),
+                            encoding="utf-8")
+    results = []
+    for spec in (files["spec"], str(without_real), files["spec"]):
+        code = run(["parse", "--spec", spec, "--grammar", files["grammar"], "--input", files["input"]])
+        results.append((code, capsys.readouterr().err))
+    assert results == [(0, ""), (1, "lamb: error: line 2: undefined symbol 'Real'\n"), (0, "")]
+
+
+def test_memo_keeps_at_most_its_bound(files, capsys):
+    spec = files["dir"] / "a.lamb"
+    grammar = files["dir"] / "a.grammar"
+    source = files["dir"] / "a.txt"
+    source.write_text("a", encoding="utf-8")
+    for n in range(cli._MEMO_SIZE + 3):
+        spec.write_text(f"token A{n} 1 /a/\n", encoding="utf-8")
+        grammar.write_text(f"S ::= A{n}\n", encoding="utf-8")
+        assert run(["parse", "--spec", str(spec), "--grammar", str(grammar), "--input", str(source)]) == 0
+        assert capsys.readouterr().out == f"S [0-0]\n  A{n} \"a\" [0-0]\n"
+    assert cli._load_spec.cache_info().currsize == cli._MEMO_SIZE
+    assert cli._load_grammar.cache_info().currsize == cli._MEMO_SIZE

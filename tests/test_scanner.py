@@ -239,6 +239,17 @@ def test_scan_matches_oracle_on_generated_specs(case, cache_limit):
     assert len(spec.automaton._dfa) <= cache_limit
 
 
+def test_automaton_stays_bounded_on_many_distinct_characters():
+    # Every character leads the one state to the empty set: no new state,
+    # but one more transition each, past the transition limit.
+    spec = parse_lex_spec("token Integer 1 /[0-9]+/\n")
+    text = "".join(map(chr, range(0x20000, 0x20000 + 57952)))  # ideographs of plane 2
+    assert scan(spec, text) == scan_oracle(spec, text)
+    automaton = spec.automaton
+    assert len(automaton._dfa) <= pattern._DFA_CACHE_LIMIT
+    assert sum(len(s.next) for s in automaton._dfa.values()) <= pattern._DFA_TRANSITION_LIMIT
+
+
 def test_automaton_is_built_by_the_first_scan_and_kept():
     spec = parse_lex_spec(support.numbers_spec_text())
     assert "automaton" not in vars(spec)
