@@ -6,7 +6,10 @@ Exit codes: 0 on success (for ``parse``, at least one accepted tree), 2 when
 
 The argument parser is built once per process, on the first `run`, and
 reused by every later call: ``parse_args`` leaves the parser unchanged and
-returns a fresh namespace each time.
+returns a fresh namespace each time.  Each call runs one argument parse: an
+argv that starts with a command name goes straight to that command's parser,
+which is the one the top-level parser would hand it to; any other argv (none,
+an unknown command, ``-h``) goes to the top-level parser.
 
 Compiled specs and grammars are kept per process too, keyed by the contents
 of their files, up to ``_MEMO_SIZE`` of each, least recently used dropped
@@ -23,7 +26,6 @@ import json
 import sys
 from decimal import Decimal
 from functools import cache, lru_cache
-from pathlib import Path
 
 from . import lexgraph, oracles, parser, scanner, spec_io
 
@@ -62,6 +64,7 @@ def _build_cli() -> _ArgumentParser:
     par = sub.add_parser("parse", help="parse the token graph against a grammar")
     common(par, ("text", "json", "dot"))
     par.add_argument("--grammar", required=True, help="grammar file")
+    top.commands = sub.choices  # command name -> its parser
     return top
 
 
@@ -82,7 +85,11 @@ def _load_grammar(text: str, spec_text: str) -> spec_io.Grammar:
 def _read(path: str) -> str:
     """The file's or stdin's bytes as UTF-8, line endings kept, so that token
     offsets count the same characters whichever way the input arrives."""
-    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as f:
+            data = f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # reported like any other unreadable file
@@ -93,10 +100,21 @@ def _warn(message: str) -> None:
     print(f"lamb: warning: {message}", file=sys.stderr)
 
 
-def run(argv: list[str]) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_cli().parse_args(argv)`` in one parse: an argv that starts
+    with a command name goes to that command's parser alone."""
     cli = _build_cli()
+    command = cli.commands.get(argv[0]) if argv else None
+    if command is None:
+        return cli.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
+def run(argv: list[str]) -> int:
     try:
-        args = cli.parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         print(f"lamb: error: {exc}", file=sys.stderr)
         return 1

@@ -15,24 +15,34 @@ lookups in the graph's adjacency index (see `lexgraph.AdjacencyIndex`), and
 the parser reads nothing of the graph but its tokens and that index: it
 never computes the graph's edges.
 
-The chart grows bottom-up from an agenda of nodes, left to right.  A partial
-item is a rule with the children matched so far.  It waits under ``(next
-symbol, s)`` for each token start ``s`` that may follow its last child.  When
-a node leaves the agenda, it starts a partial item for each rule whose body
-begins with its symbol, and extends each partial item waiting for it; the
-starts that may follow an end are asked of the index once per distinct end.
-An item that is complete becomes an alternative of the node for its rule's
-left-hand side and span, which joins the agenda if it is new.  The agenda is a stack,
-and tokens leave it in ascending start order; of the tokens with one start,
-the highest id leaves first.  That needs no sort: every graph numbers its
-tokens in start order (see `lexgraph.LexGraph`), so the agenda starts as the
-runs of ids with equal starts, last run first.  Every node that ends before
-``s`` leaves the agenda before the first token starting at ``s``.  An
-item waiting at ``s`` was therefore made before any node starting at ``s``,
-and meets each of them once, when the node leaves the agenda: every
-alternative is found once, and nothing needs recursion.  Tokens keep their
-ids; the other nodes are numbered as the chart creates them, and their
-alternatives are listed in the order the chart finds them.
+The chart grows bottom-up from an agenda of nodes, left to right.  Rules
+come compiled into chains of dotted items, ``(lhs, wanted symbol, next item)``
+down to the complete ``(lhs, None, None)``; the first `parse` with a grammar
+builds them and the grammar keeps them as ``Grammar.item_chains``, keyed by
+each rule's first symbol.  A partial match is an item with the children
+matched so far.  It waits under ``(wanted symbol, s)`` for each token start
+``s`` that may follow its last child.  When a node leaves the agenda, it
+starts the chains of the rules whose body begins with its symbol, and
+advances each item waiting for it, by unpacking the item's tuple; a node that
+nothing waits for costs one lookup there.  The list of items waiting for a
+node cannot grow while the node advances them: a node ends no earlier than it
+starts, and every start that may follow it lies past its end.  The starts
+that may follow an end are asked of the index once per distinct end.  A
+complete item becomes an alternative of the node for its rule's left-hand
+side and span, which joins the agenda if it is new; only these nonterminal
+nodes keep a list of alternatives.
+
+The agenda is a stack, and tokens leave it in ascending start order; of the
+tokens with one start, the highest id leaves first: the agenda starts as the
+token ids sorted by descending start, in a stable sort that keeps equal
+starts in id order.  The sort is cheap: every graph numbers its tokens in
+start order (see `lexgraph.LexGraph`).  Every node that ends before ``s``
+leaves the agenda before the first token starting at ``s``.  An item waiting
+at ``s`` was therefore made before any node starting at ``s``, and meets each
+of them once, when the node leaves the agenda: every alternative is found
+once, and nothing needs recursion.  Tokens keep their ids; the other nodes
+are numbered as the chart creates them, and their alternatives are listed in
+the order the chart finds them.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain, repeat
 from math import prod
 from typing import NamedTuple
 
@@ -124,45 +134,48 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
     many trees.  A rule listed twice counts once.
     """
     starts, window = g.index.starts, g.index.window
-    spans = [(name, start, end) for _, name, _, start, end in g.tokens]  # by node id
-    alternatives: list[list[tuple[int, ...]]] = [[] for _ in spans]
-    node_of: dict[tuple[str, int, int], int] = {}
-    rules_by_first: dict[str, list[GrammarRule]] = {}
-    for rule in dict.fromkeys(grammar.rules):
-        rules_by_first.setdefault(rule.rhs[0], []).append(rule)
-    waiting: dict[tuple[str, int], list[tuple[GrammarRule, tuple[int, ...]]]] = {}
+    ids, names, texts, _, ends = zip(*g.tokens) if g.tokens else ((),) * 5
+    spans = list(zip(names, starts, ends))  # by node id
+    chains = grammar.item_chains
+    nodes: dict[tuple[str, int, int], list[tuple[int, ...]]] = {}  # nonterminal span -> alternatives
+    waiting: dict[tuple[str, int], list[tuple[tuple, tuple[int, ...]]]] = {}
     next_starts: dict[int, dict[int, None]] = {}  # end -> distinct starts in window(end)
-    runs = [list(ids) for _, ids in groupby(range(len(spans)), starts.__getitem__)]
-    agenda = [i for ids in reversed(runs) for i in ids]
+    agenda = sorted(range(len(spans)), key=starts.__getitem__, reverse=True)
     while agenda:
         nid = agenda.pop()
         symbol, start, end = spans[nid]
-        grown = [(rule, (nid,)) for rule in rules_by_first.get(symbol, ())]
-        grown += [(rule, done + (nid,)) for rule, done in waiting.get((symbol, start), ())]
-        for rule, children in grown:
-            if len(children) < len(rule.rhs):
-                successors = next_starts.get(end)
-                if successors is None:
-                    lo, hi = window(end)
-                    successors = next_starts[end] = dict.fromkeys(starts[lo:hi])
-                wanted = rule.rhs[len(children)]
-                for s in successors:
-                    waiting.setdefault((wanted, s), []).append((rule, children))
-                continue
-            span = (rule.lhs, spans[children[0]][1], end)
-            target = node_of.get(span)
-            if target is None:
-                target = node_of[span] = len(spans)
-                spans.append(span)
-                alternatives.append([])
-                agenda.append(target)
-            alternatives[target].append(children)
+        firsts = chains.get(symbol, ())
+        waits = waiting.get((symbol, start), ())
+        if not firsts and not waits:
+            continue
+        successors = next_starts.get(end)
+        if successors is None:
+            lo, hi = window(end)
+            successors = next_starts[end] = dict.fromkeys(starts[lo:hi])
+        # Both lists pair an item with the children matched before this node;
+        # neither grows in this loop.
+        for entries in (firsts, waits):
+            for (lhs, wanted, item), done in entries:
+                children = done + (nid,)
+                if wanted is not None:
+                    entry = (item, children)
+                    for s in successors:
+                        waiting.setdefault((wanted, s), []).append(entry)
+                    continue
+                span = (lhs, spans[children[0]][1], end)
+                alternatives = nodes.get(span)
+                if alternatives is None:
+                    nodes[span] = [children]
+                    agenda.append(len(spans))
+                    spans.append(span)
+                else:
+                    alternatives.append(children)
     # tuple.__new__ builds each node from the tuple of its fields, without
     # the named tuple's per-field __new__.
-    node, n = partial(tuple.__new__, SymbolInstance), len(g.tokens)
+    node = partial(tuple.__new__, SymbolInstance)
     instances = tuple(map(node, chain(
-        ((i, name, start, end, (), text) for i, name, text, start, end in g.tokens),
-        ((i, *spans[i], tuple(alternatives[i]), None) for i in range(n, len(spans))),
+        zip(ids, names, starts, ends, repeat(()), texts),
+        ((i, *span, tuple(alts), None) for i, (span, alts) in enumerate(nodes.items(), len(ids))),
     )))
     whole, root = g.index.spans_all, grammar.start_symbol
     accepted = tuple(i for i, (symbol, start, end) in enumerate(spans) if symbol == root and whole(start, end))

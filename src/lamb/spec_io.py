@@ -146,9 +146,38 @@ class GrammarRule:
 
 @dataclass(frozen=True)
 class Grammar:
+    """Rules and a start symbol.  ``item_chains``, the rules compiled for the
+    parser, is built on first use, which is the first `parse`, and kept."""
+
     rules: tuple[GrammarRule, ...]
     start_symbol: str
     start_line: int = field(default=1, compare=False)  # of the ``start`` directive, if any
+
+    @_cached
+    def item_chains(self) -> dict[str, list[tuple[tuple, tuple[()]]]]:
+        """Per first body symbol, the rules it starts, in listed order and
+        each once, as the pair ``(item, ())``: the rule's chain of dotted
+        items past its first symbol, and no child matched before it.
+
+        An item ``(lhs, wanted, next)`` is a rule with its body matched up to
+        the symbol ``wanted``; ``next`` is the item once that is matched too.
+        A complete item is ``(lhs, None, None)``.  Chains are built from the
+        end, without recursion, and the parser never hashes or compares an
+        item, so a long body does not meet the recursion limit.
+        """
+        chains: dict[str, list[tuple[tuple, tuple[()]]]] = {}
+        for rule in dict.fromkeys(self.rules):
+            item = (rule.lhs, None, None)
+            for symbol in reversed(rule.rhs[1:]):
+                item = (rule.lhs, symbol, item)
+            chains.setdefault(rule.rhs[0], []).append((item, ()))
+        return chains
+
+    def __getstate__(self):
+        """The fields alone, for pickle and `copy`: a chain nests as deep as
+        its rule is long, so copying it would recurse that deep.  A copy
+        builds its own chains on first use."""
+        return {k: v for k, v in vars(self).items() if k != "item_chains"}
 
 
 def _take_regex(rest: str, lineno: int) -> str:

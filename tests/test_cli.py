@@ -424,3 +424,71 @@ def test_memo_keeps_at_most_its_bound(files, capsys):
         assert capsys.readouterr().out == f"S [0-0]\n  A{n} \"a\" [0-0]\n"
     assert cli._load_spec.cache_info().currsize == cli._MEMO_SIZE
     assert cli._load_grammar.cache_info().currsize == cli._MEMO_SIZE
+
+
+def test_memo_keeps_each_grammar_with_its_item_chains(files, capsys):
+    cli._load_grammar.cache_clear()
+    argv = ["parse", "--spec", files["spec"], "--grammar", files["grammar"], "--input", files["input"]]
+    outputs = []
+    for _ in range(2):
+        outputs.append((run(argv), *capsys.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    info = cli._load_grammar.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    spec_text = Path(files["spec"]).read_text(encoding="utf-8")
+    kept = cli._load_grammar(support.NUMBERS_GRAMMAR, spec_text)
+    assert cli._load_grammar.cache_info().hits == 2
+    assert "item_chains" in vars(kept)
+    fresh = lamb.parse_grammar(support.NUMBERS_GRAMMAR, lamb.parse_lex_spec(spec_text))
+    assert kept == fresh and hash(kept) == hash(fresh)
+
+
+def _usage_corpus(files):
+    """Argument lists, valid and not, that reach the argument parser."""
+    spec, grammar, source = files["spec"], files["grammar"], files["input"]
+    common = ["--spec", spec, "--input", source]
+    return [
+        [], ["bogus", *common], ["pars", *common], ["--spec", spec, "scan"],
+        ["scan", *common], ["sequences", *common, "--limit", "2"],
+        ["parse", *common, "--grammar", grammar, "--format", "json", "--oracle-check"],
+        ["parse", *common],  # no --grammar
+        ["scan"], ["parse", *common, "--grammar"],
+        ["parse", *common, "--grammar", grammar, "--format", "bad"],
+        ["sequences", *common, "--format", "dot"],
+        ["parse", "--spe", spec, "--input", source, "--gram", grammar],  # abbreviations
+        ["scan", f"--spec={spec}", f"--input={source}"],
+        ["scan", *common, "extra"], ["scan", *common, "--nope"],
+        ["sequences", *common, "--limit", "x"], ["sequences", *common, "--limit", "0"],
+        ["scan", *common, "--format", "json", "--format", "dot"],  # the last one wins
+        ["scan", "--", *common], ["scan", *common, "--"], ["scan", *common, "--", "x"],
+    ]
+
+
+def _namespace_or_message(parse_args, argv):
+    try:
+        return parse_args(argv)
+    except cli._UsageError as exc:
+        return str(exc)
+
+
+def test_one_argument_parse_matches_the_top_level_parser(files, capsys):
+    reference = cli._build_cli().parse_args  # argparse handing argv to a subparser
+    for argv in _usage_corpus(files):
+        ours = _namespace_or_message(cli._parse_args, argv)
+        assert ours == _namespace_or_message(reference, argv), argv
+        if isinstance(ours, str):
+            assert run(argv) == 1, argv
+            assert capsys.readouterr() == ("", f"lamb: error: {ours}\n"), argv
+
+
+def test_help_matches_the_top_level_parser():
+    env = {**os.environ, "PYTHONPATH": str(Path(lamb.__file__).parents[1])}
+    reference = "import sys; from lamb import cli; cli._build_cli().parse_args(sys.argv[1:])"
+    for argv in (["-h"], ["parse", "-h"], ["sequences", "--help"]):
+        ours = subprocess.run([sys.executable, "-m", "lamb.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        theirs = subprocess.run([sys.executable, "-c", reference, *argv],
+                                capture_output=True, text=True, env=env)
+        assert ours.returncode == 0 and ours.stdout.startswith("usage: lamb"), argv
+        assert (ours.returncode, ours.stdout, ours.stderr) == (
+            theirs.returncode, theirs.stdout, theirs.stderr), argv

@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import random
 
 import pytest
@@ -381,6 +383,18 @@ def test_parse_takes_tokens_of_one_start_highest_id_first():
     assert forest.accepted == (2,)
 
 
+def test_parse_starts_rules_before_advancing_waiting_items():
+    # X@1-1 starts A ::= X and completes B ::= Y X, which waited for it since
+    # Y@0-0 left the agenda; the node it starts is numbered first.
+    toks = (Token(0, "Y", "y", 0, 0), Token(1, "X", "x", 1, 1))
+    grammar = Grammar((GrammarRule("S", ("B",)), GrammarRule("B", ("Y", "X")),
+                       GrammarRule("A", ("X",))), "S")
+    forest = parse(build_graph(ScanResult(toks, 2, ())), grammar)
+    assert [inst[1:] for inst in forest.instances[2:]] == [
+        ("A", 1, 1, ((1,),), None), ("B", 0, 1, ((0, 1),), None), ("S", 0, 1, ((3,),), None)]
+    assert forest.accepted == (4,)
+
+
 def test_parse_tokens_listed_out_of_start_order():
     # Every graph numbers its tokens in start order, so the parser never sees
     # these: each way of building a graph rejects them.
@@ -425,6 +439,38 @@ def test_rule_listed_twice_gives_one_tree_per_derivation(grammar_text, tokens, t
     assert render_trees(forest).count("\n\n") == trees - 1
 
 
+@pytest.mark.parametrize("grammar_text, sizes", [
+    ("E ::= E E | x\n", range(1, 8)),
+    ("L ::= L x | x\n", (1, 2, 3, 5, 8, 13, 21, 34)),
+    ("L ::= x | x L\n", (1, 2, 3, 5, 8, 13, 21)),
+])
+def test_item_chains_match_literal_parser_as_the_input_grows(grammar_text, sizes):
+    # One grammar for every size, so each parse after the first reuses the
+    # item chains kept on the grammar.
+    spec = parse_lex_spec("token x 1 /x/\n")
+    grammar = parse_grammar(grammar_text, spec)
+    for tokens in sizes:
+        _same_forest(build_graph(scan(spec, "x" * tokens)), grammar)
+    assert "item_chains" in vars(grammar)
+
+
+def test_parsed_grammar_equals_and_hashes_like_a_fresh_one(numbers_spec, numbers_graph):
+    used = parse_grammar(support.NUMBERS_GRAMMAR, numbers_spec)
+    assert "item_chains" not in vars(used)
+    forest = parse(numbers_graph, used)
+    assert "item_chains" in vars(used)
+    fresh = parse_grammar(support.NUMBERS_GRAMMAR, numbers_spec)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert parse(numbers_graph, used) == forest == parse(numbers_graph, fresh)
+
+
+def test_grammar_built_from_rules_parses_the_numbers_example(numbers_graph, numbers_grammar):
+    built = Grammar(tuple(GrammarRule(r.lhs, r.rhs) for r in numbers_grammar.rules), "E")
+    forest = parse(numbers_graph, built)
+    assert forest == parse(numbers_graph, numbers_grammar)
+    assert render_trees(forest).startswith("E [0-12]\n  A [0-4]\n")
+
+
 def test_long_rule_body_parses_past_the_recursion_limit():
     # One rule of 3,000 symbols, a then b repeated, over as many tokens: its
     # match is one chain of 3,000 steps.
@@ -436,6 +482,19 @@ def test_long_rule_body_parses_past_the_recursion_limit():
     text = render_trees(forest)
     assert text.startswith(f"S [0-{count - 1}]\n")
     assert text.count("\n") == count + 1
+
+
+def test_parsed_grammar_with_a_long_rule_pickles_and_copies():
+    # The 3,000-symbol rule's item chain nests 3,000 deep; copies leave it out.
+    count = 3000
+    spec = parse_lex_spec("token a 1 /a/\ntoken b 1 /b/\n")
+    grammar = parse_grammar("S ::= a" + " b" * (count - 1) + "\n", spec)
+    graph = build_graph(scan(spec, "a" + "b" * (count - 1)))
+    forest = parse(graph, grammar)
+    for copied in (pickle.loads(pickle.dumps(grammar)), copy.deepcopy(grammar), copy.copy(grammar)):
+        assert copied == grammar and "item_chains" not in vars(copied)
+        assert parse(graph, copied) == forest
+    assert "item_chains" in vars(grammar)
 
 
 def test_semi_naive_parse_with_rules_feeding_earlier_rules(numbers_spec):
