@@ -6,9 +6,10 @@ before ``b`` starts).  Gaps of ignored text do not block adjacency, only
 tokens do.  Tokens with no predecessor form the start set; every maximal path
 through the following-relation is one possible tokenization of the input.
 
-A graph holds its tokens and their `AdjacencyIndex`.  The edges are views of
-the index, computed the first time something reads them: the serializers and
-`enumerate_sequences` do, `parser.parse` does not.
+A graph holds its tokens and their `AdjacencyIndex`, and nothing else.  The
+edges are views of the index, computed the first time something reads them:
+`to_dot`, `enumerate_sequences` and `count_sequences` do; `to_json` and
+`parser.parse` read only the index.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ __all__ = [
 
 
 class AdjacencyIndex:
-    """Token starts in ascending order plus a suffix minimum of token ends.
+    """Token starts in ascending order, ``starts``, plus ``suffix_min_end``:
+    at position ``k``, the smallest end of tokens ``k, k+1, ...`` (infinite
+    past the last).
 
     Token ``b`` follows ``a`` exactly when ``a.end < b.start <= m``, where
     ``m`` is the smallest end of any token starting after ``a`` ends
@@ -43,52 +46,49 @@ class AdjacencyIndex:
     ending before ``b`` starts would sit strictly between them.
 
     The tokens must be numbered ``0, 1, ...`` in ascending start order, so
-    that a position in ``starts`` is a token id.  This is the one place that
-    checks it; any other list raises `ValueError`.
+    that a position in ``starts`` is a token id.  The graph checks it here
+    and nowhere else; any other list raises `ValueError`.
     """
 
-    __slots__ = ("starts", "_suffix_min_end")
+    __slots__ = ("starts", "suffix_min_end")
 
     def __init__(self, tokens: tuple[Token, ...]):
         ids, _, _, self.starts, ends = zip(*tokens) if tokens else ((),) * 5
         if ids != tuple(range(len(ids))) or list(self.starts) != sorted(self.starts):
             raise ValueError("tokens must be numbered 0, 1, ... in ascending start order")
-        self._suffix_min_end = [*accumulate(reversed(ends), min, initial=math.inf)]
-        self._suffix_min_end.reverse()
+        self.suffix_min_end = [*accumulate(reversed(ends), min, initial=math.inf)]
+        self.suffix_min_end.reverse()
 
     def window(self, end: int) -> tuple[int, int]:
         """Positions in ``starts`` of the tokens that may follow a symbol ending at ``end``."""
         lo = bisect_right(self.starts, end)
-        return lo, bisect_right(self.starts, self._suffix_min_end[lo], lo)
+        return lo, bisect_right(self.starts, self.suffix_min_end[lo], lo)
 
     def follows(self, end: int, start: int) -> bool:
-        return end < start <= self._suffix_min_end[bisect_right(self.starts, end)]
+        return end < start <= self.suffix_min_end[bisect_right(self.starts, end)]
 
     def spans_all(self, start: int, end: int) -> bool:
         """No token ends before ``start`` or starts after ``end``."""
-        return not self.starts or (start <= self._suffix_min_end[0] and end >= self.starts[-1])
+        return not self.starts or (start <= self.suffix_min_end[0] and end >= self.starts[-1])
 
 
 class LexGraph:
     """Tokens numbered ``0, 1, ...`` in ascending start order, the input
     length, and the tokens' `AdjacencyIndex`; other tokens raise `ValueError`.
 
-    The edges are computed from the index on first read, then kept; a graph
-    given ``edges``, a ``(following, preceding, start_set)`` triple, keeps
-    those instead.  Two graphs are equal when their tokens, input lengths
-    and edges are.
+    The edges are computed from the index on first read, then kept.  Two
+    graphs are equal when their tokens and input lengths are: the edges
+    follow from the tokens.
     """
 
-    def __init__(self, tokens: tuple[Token, ...], input_length: int, edges: tuple | None = None):
+    def __init__(self, tokens: tuple[Token, ...], input_length: int):
         self.tokens = tokens
         self.input_length = input_length
         self.index = AdjacencyIndex(tokens)
-        if edges is not None:
-            self.following, self.preceding, self.start_set = edges
 
     def __eq__(self, other):
-        keys = ("tokens", "input_length", "following", "preceding", "start_set")
-        return isinstance(other, LexGraph) and all(getattr(self, k) == getattr(other, k) for k in keys)
+        return (isinstance(other, LexGraph) and self.tokens == other.tokens
+                and self.input_length == other.input_length)
 
     @cached_property
     def following(self) -> tuple[tuple[int, ...], ...]:
@@ -176,16 +176,40 @@ def to_dot(g: LexGraph) -> str:
 
 def to_json(g: LexGraph) -> str:
     """Compact JSON, written directly: the same bytes as ``json.dumps`` of
-    the payload with ``ensure_ascii=False`` and no spaces."""
-    records = ",".join([
-        f'{{"id":{i},"type":{_json_string(name)},"text":{_json_string(text)},'
-        f'"start":{start},"end":{end},"preceding":[{",".join(map(str, p))}],'
-        f'"following":[{",".join(map(str, f))}]}}'
-        for (i, name, text, start, end), p, f
-        in zip(g.tokens, g.preceding, g.following, strict=True)
-    ])
-    start_set = ",".join(map(str, g.start_set))
-    return f'{{"input_length":{g.input_length},"tokens":[{records}],"start":[{start_set}]}}'
+    the payload with ``ensure_ascii=False`` and no spaces.
+
+    One pass over the tokens in id order, reading only ``g.index``: a
+    token's successors are the ids in its window, and it adds its own id to
+    each successor's ``preceding`` string.  A predecessor always has the
+    smaller id, so that string is complete when the pass reaches its token.
+    """
+    tokens = g.tokens
+    if not tokens:
+        return f'{{"input_length":{g.input_length},"tokens":[],"start":[]}}'
+    starts, min_end = g.index.starts, g.index.suffix_min_end
+    ids = [*map(str, range(len(tokens)))]
+    preceding = [""] * len(tokens)
+    names: dict[str, str] = {}  # type name -> its JSON string
+    records = []
+    for i, name, text, start, end in tokens:
+        lo = bisect_right(starts, end)  # AdjacencyIndex.window(end), inline
+        hi = bisect_right(starts, min_end[lo], lo)
+        s = ids[i]
+        for j in range(lo, hi):
+            p = preceding[j]
+            preceding[j] = f"{p},{s}" if p else s
+        quoted = names.get(name) or names.setdefault(name, _json_string(name))
+        records.append(
+            f'{{"id":{s},"type":{quoted},"text":{_json_string(text)},'
+            f'"start":{start},"end":{end},"preceding":[{preceding[i]}],'
+            f'"following":[{",".join(ids[lo:hi])}]}}')
+        preceding[i] = None  # written; no later token adds to it
+    # The header and the tail ride on the first and last records, so that the
+    # output is joined once.  The start set is the ids in window(-1).
+    records[0] = f'{{"input_length":{g.input_length},"tokens":[{records[0]}'
+    records[-1] += f'],"start":[{",".join(ids[:bisect_right(starts, min_end[0])])}]}}'
+    del ids, preceding  # not held while the join copies the records
+    return ",".join(records)
 
 
 def graph_from_json(text: str) -> LexGraph:

@@ -14,12 +14,13 @@ set of live NFA states afresh at every character.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from . import pattern
-from .lexgraph import LexGraph
 from .scanner import ScanResult, Token
 from .spec_io import LexSpec
 
-__all__ = ["build_graph_oracle", "match_longest_oracle", "scan_oracle"]
+__all__ = ["GraphEdges", "build_graph_oracle", "match_longest_oracle", "scan_oracle"]
 
 
 def _label_matches(label: tuple, ch: str) -> bool:
@@ -102,16 +103,26 @@ def scan_oracle(spec: LexSpec, text: str) -> ScanResult:
     return ScanResult(tuple(tokens), len(text), tuple(ignored))
 
 
-def build_graph_oracle(result: ScanResult) -> LexGraph:
+class GraphEdges(NamedTuple):
+    """A graph's edges as `LexGraph` views them, one tuple of ids per token."""
+
+    following: tuple[tuple[int, ...], ...]
+    preceding: tuple[tuple[int, ...], ...]
+    start_set: tuple[int, ...]
+
+
+def build_graph_oracle(result: ScanResult) -> GraphEdges:
     """Adjacency straight from the definition, one triple loop, no shortcuts.
 
-    The edges are computed here and handed to the `LexGraph` whole, so
-    comparing it with `lexgraph.build_graph`'s graph compares those edges
-    with the ones computed from the adjacency index.  Like `build_graph`, it
-    takes tokens numbered ``0, 1, ...`` in ascending start order; the
-    `LexGraph` it returns raises `ValueError` on any other list.
+    Compare it with ``(g.following, g.preceding, g.start_set)`` of
+    `lexgraph.build_graph`'s graph ``g``: those come from the adjacency
+    index.  Like `build_graph`, it takes tokens numbered ``0, 1, ...`` in
+    ascending start order, and raises `ValueError` on any other list.
     """
     toks = result.tokens
+    for k, t in enumerate(toks):
+        if t.id != k or (k > 0 and toks[k - 1].start > t.start):
+            raise ValueError("tokens must be numbered 0, 1, ... in ascending start order")
     following: dict[int, list[int]] = {t.id: [] for t in toks}
     preceding: dict[int, list[int]] = {t.id: [] for t in toks}
     for a in toks:
@@ -121,8 +132,8 @@ def build_graph_oracle(result: ScanResult) -> LexGraph:
             ):
                 following[a.id].append(b.id)
                 preceding[b.id].append(a.id)
-    return LexGraph(toks, result.input_length, edges=(
+    return GraphEdges(
         tuple(tuple(sorted(following[t.id])) for t in toks),
         tuple(tuple(sorted(preceding[t.id])) for t in toks),
         tuple(t.id for t in toks if not preceding[t.id]),
-    ))
+    )

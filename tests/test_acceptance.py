@@ -138,7 +138,8 @@ def test_criterion_6_oracle_equivalence():
     graph_divergences = 0
     for _ in range(500):
         result = support.random_interval_result(rng, max_tokens=40)
-        if build_graph(result) != build_graph_oracle(result):
+        graph = build_graph(result)
+        if (graph.following, graph.preceding, graph.start_set) != build_graph_oracle(result):
             graph_divergences += 1
     ok = scan_divergences == 0 and graph_divergences == 0
     _report(6, "500 random scans and 500 random interval sets match their oracles", ok,

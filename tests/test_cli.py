@@ -237,7 +237,8 @@ def test_oracle_check_keeps_payload_and_exit_code(files, capsys):
 @pytest.mark.parametrize("command", [
     ["parse", "--grammar", "{grammar}"],
     ["scan", "--format", "text"],
-], ids=["parse", "scan-text"])
+    ["scan", "--format", "json"],
+], ids=["parse", "scan-text", "scan-json"])
 def test_command_leaves_the_edges_uncomputed(files, capsys, monkeypatch, command):
     graphs = []
     build = lexgraph.build_graph

@@ -27,7 +27,8 @@ def _edges(graph):
     return [(a, b) for a in range(len(graph.tokens)) for b in graph.following[a]]
 
 
-def _materialized(graph):
+def _views(graph):
+    """The graph's edges, comparable with `build_graph_oracle`'s triple."""
     return graph.following, graph.preceding, graph.start_set
 
 
@@ -50,13 +51,20 @@ def test_numbers_graph_edges(numbers_graph):
 
 def test_numbers_graph_equals_oracle(numbers_scan, numbers_graph):
     oracle = build_graph_oracle(numbers_scan)
-    assert _materialized(oracle) == _materialized(numbers_graph)
-    assert oracle == numbers_graph
-    # Equality compares the edges, not just the tokens.
-    following, preceding, start_set = _materialized(numbers_graph)
-    cut = LexGraph(numbers_scan.tokens, numbers_scan.input_length,
-                   edges=((following[0][1:], *following[1:]), preceding, start_set))
-    assert cut != numbers_graph and numbers_graph != cut
+    assert oracle == _views(numbers_graph) and _views(numbers_graph) == oracle
+    assert (oracle.following, oracle.preceding, oracle.start_set) == _views(numbers_graph)
+    # The comparison sees one cut edge, in any of the three views.
+    cuts = (
+        oracle._replace(following=(oracle.following[0][1:], *oracle.following[1:])),
+        oracle._replace(preceding=(*oracle.preceding[:-1], oracle.preceding[-1][1:])),
+        oracle._replace(start_set=()),
+    )
+    for cut in cuts:
+        assert cut != _views(numbers_graph) and _views(numbers_graph) != cut
+    # Graph equality compares tokens and input length; the edges follow from them.
+    assert build_graph(numbers_scan) == numbers_graph
+    assert LexGraph(numbers_scan.tokens, numbers_scan.input_length + 1) != numbers_graph
+    assert LexGraph(numbers_scan.tokens[:-1], numbers_scan.input_length) != numbers_graph
 
 
 def test_preceding_is_exact_inverse(numbers_graph):
@@ -97,16 +105,17 @@ def test_nested_long_token_does_not_hide_inner_blocker():
     # cursor) overlaps everything.
     graph = build_graph(_intervals([(2, 10), (3, 21), (20, 22), (25, 26)]))
     oracle = build_graph_oracle(_intervals([(2, 10), (3, 21), (20, 22), (25, 26)]))
-    assert graph == oracle
+    assert _views(graph) == oracle
     assert graph.following == ((2,), (3,), (3,), ())
 
 
 def test_build_graph_requires_start_order():
     out_of_order = (Token(0, "T", "xx", 5, 6), Token(1, "T", "x", 0, 0))
     misnumbered = (Token(1, "T", "x", 0, 0), Token(0, "T", "xx", 5, 6))
-    for toks in (out_of_order, misnumbered):
-        with pytest.raises(ValueError):
-            build_graph(ScanResult(toks, 7, ()))
+    for build in (build_graph, build_graph_oracle):
+        for toks in (out_of_order, misnumbered):
+            with pytest.raises(ValueError):
+                build(ScanResult(toks, 7, ()))
 
 
 def test_random_interval_sets_match_oracle():
@@ -115,8 +124,7 @@ def test_random_interval_sets_match_oracle():
         result = support.random_interval_result(rng)
         fast = build_graph(result)
         slow = build_graph_oracle(result)
-        assert _materialized(fast) == _materialized(slow)
-        assert fast == slow
+        assert _views(fast) == slow
         for a in range(len(fast.tokens)):
             for b in fast.following[a]:
                 assert fast.tokens[a].end < fast.tokens[b].start
@@ -256,34 +264,47 @@ def test_json_empty_graph():
     assert to_json(build_graph(_intervals([]))) == '{"input_length":0,"tokens":[],"start":[]}'
 
 
-def _json_by_dumps(g):
-    """Reference: the payload through ``json.dumps``."""
+def _json_by_dumps(result):
+    """Reference: the payload, with `build_graph_oracle`'s edges, through ``json.dumps``."""
+    following, preceding, start_set = build_graph_oracle(result)
     payload = {
-        "input_length": g.input_length,
+        "input_length": result.input_length,
         "tokens": [
             {"id": t.id, "type": t.type_name, "text": t.text, "start": t.start, "end": t.end,
-             "preceding": list(g.preceding[t.id]), "following": list(g.following[t.id])}
-            for t in g.tokens
+             "preceding": list(preceding[t.id]), "following": list(following[t.id])}
+            for t in result.tokens
         ],
-        "start": list(g.start_set),
+        "start": list(start_set),
     }
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
-def test_json_matches_json_dumps_byte_for_byte(numbers_graph):
-    assert to_json(numbers_graph) == _json_by_dumps(numbers_graph)
+def _awkward(result, rng):
+    """``result`` with texts and type names full of characters JSON escapes or keeps."""
+    chars = 'ab"\\/\n\t\r\x00\x1f\x7f\u00e9\u4e2d\U0001f600\u2028'
+    return ScanResult(tuple(
+        t._replace(type_name=rng.choice(("T", 'Q"', "back\\slash", "\u00e9")),
+                   text="".join(rng.choice(chars) for _ in range(t.end - t.start + 1)))
+        for t in result.tokens
+    ), result.input_length)
+
+
+# Empty, only ignored text, one token alone and between gaps, equal starts with
+# gaps and a token at the last offset, equal spans.
+EDGE_CASES = [([], 0), ([], 4), ([(0, 0)], 1), ([(3, 5)], 9),
+              ([(0, 1), (0, 3), (5, 5), (5, 6), (9, 9)], 10), ([(0, 0), (0, 0), (1, 1), (1, 1)], 2)]
+
+
+def test_json_matches_json_dumps_byte_for_byte(numbers_scan, numbers_graph):
+    assert to_json(numbers_graph) == _json_by_dumps(numbers_scan)
     rng = random.Random(20261021)
-    awkward = 'ab"\\/\n\t\r\x00\x1f\x7f\u00e9\u4e2d\U0001f600\u2028'
-    for _ in range(100):
-        result = support.random_interval_result(rng)
-        tokens = tuple(
-            t._replace(type_name=rng.choice(("T", 'Q"', "\u00e9")),
-                       text="".join(rng.choice(awkward) for _ in range(t.end - t.start + 1)))
-            for t in result.tokens
-        )
-        graph = build_graph(ScanResult(tokens, result.input_length))
-        assert to_json(graph) == _json_by_dumps(graph)
-        assert graph_from_json(to_json(graph)) == graph
+    cases = [ScanResult(_intervals(spans).tokens, length) for spans, length in EDGE_CASES]
+    cases += [support.random_interval_result(rng) for _ in range(1000)]
+    for case in cases:
+        for result in (case, _awkward(case, rng)):
+            graph = build_graph(result)
+            assert to_json(graph) == _json_by_dumps(result)
+            assert graph_from_json(to_json(graph)) == graph
 
 
 def test_serialized_outputs_are_stable(numbers_scan):
