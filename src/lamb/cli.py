@@ -182,7 +182,8 @@ def run(argv: list[str]) -> int:
         problems = []
         if oracles.scan_oracle(spec, text) != result:
             problems.append("scan disagrees with scan_oracle")
-        if oracles.build_graph_oracle(result) != (graph.following, graph.preceding, graph.start_set):
+        edges = oracles.build_graph_oracle(result)
+        if (edges.following, edges.start_set) != (graph.following, graph.start_set):
             problems.append("build_graph disagrees with build_graph_oracle")
         if problems:
             for p in problems:

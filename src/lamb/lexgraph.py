@@ -6,16 +6,17 @@ before ``b`` starts).  Gaps of ignored text do not block adjacency, only
 tokens do.  Tokens with no predecessor form the start set; every maximal path
 through the following-relation is one possible tokenization of the input.
 
-A graph holds its tokens and their `AdjacencyIndex`, and nothing else.  The
-edges are views of the index, computed the first time something reads them:
-`to_dot`, `enumerate_sequences` and `count_sequences` do; `to_json` and
-`parser.parse` read only the index.
+A graph holds its tokens, their starts and the suffix minima of their ends,
+and nothing else.  The edges are views of those two lists, computed the first
+time something reads them: `to_dot`, `enumerate_sequences` and
+`count_sequences` do; `to_json` and `parser.parse` read only the two lists.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, islice
@@ -24,7 +25,6 @@ from json.encoder import encode_basestring as _json_string
 from .scanner import ScanResult, Token
 
 __all__ = [
-    "AdjacencyIndex",
     "LexGraph",
     "build_graph",
     "count_sequences",
@@ -35,89 +35,66 @@ __all__ = [
 ]
 
 
-class AdjacencyIndex:
-    """Token starts in ascending order, ``starts``, plus ``suffix_min_end``:
-    at position ``k``, the smallest end of tokens ``k, k+1, ...`` (infinite
-    past the last).
+class LexGraph:
+    """Tokens numbered ``0, 1, ...`` in ascending start order, and the input
+    length.  The graph checks the numbering here and nowhere else; any other
+    token list raises `ValueError`.
 
-    Token ``b`` follows ``a`` exactly when ``a.end < b.start <= m``, where
-    ``m`` is the smallest end of any token starting after ``a`` ends
-    (infinite when none does): every token starting after ``a`` ends and
-    ending before ``b`` starts would sit strictly between them.
+    It keeps the token starts, ``starts``, and ``suffix_min_end``: at
+    position ``k``, the smallest end of tokens ``k, k+1, ...`` (infinite past
+    the last).  Token ``b`` follows ``a`` exactly when
+    ``a.end < b.start <= m``, where ``m`` is the smallest end of any token
+    starting after ``a`` ends (infinite when none does): every token starting
+    after ``a`` ends and ending before ``b`` starts would sit strictly between
+    them.  A position in ``starts`` is a token id, so the tokens that follow
+    one are a range of ids, its `window`.
 
-    The tokens must be numbered ``0, 1, ...`` in ascending start order, so
-    that a position in ``starts`` is a token id.  The graph checks it here
-    and nowhere else; any other list raises `ValueError`.
+    The edges are computed from the two lists on first read, then kept.  Two
+    graphs are equal when their tokens and input lengths are: the edges
+    follow from the tokens.
     """
 
-    __slots__ = ("starts", "suffix_min_end")
-
-    def __init__(self, tokens: tuple[Token, ...]):
-        ids, _, _, self.starts, ends = zip(*tokens) if tokens else ((),) * 5
-        if ids != tuple(range(len(ids))) or list(self.starts) != sorted(self.starts):
+    def __init__(self, tokens: tuple[Token, ...], input_length: int):
+        ids, _, _, starts, ends = zip(*tokens) if tokens else ((),) * 5
+        if ids != tuple(range(len(ids))) or list(starts) != sorted(starts):
             raise ValueError("tokens must be numbered 0, 1, ... in ascending start order")
+        self.tokens, self.input_length, self.starts = tokens, input_length, starts
         self.suffix_min_end = [*accumulate(reversed(ends), min, initial=math.inf)]
         self.suffix_min_end.reverse()
+
+    def __eq__(self, other):
+        return (isinstance(other, LexGraph) and self.tokens == other.tokens
+                and self.input_length == other.input_length)
 
     def window(self, end: int) -> tuple[int, int]:
         """Positions in ``starts`` of the tokens that may follow a symbol ending at ``end``."""
         lo = bisect_right(self.starts, end)
         return lo, bisect_right(self.starts, self.suffix_min_end[lo], lo)
 
-    def follows(self, end: int, start: int) -> bool:
-        return end < start <= self.suffix_min_end[bisect_right(self.starts, end)]
-
     def spans_all(self, start: int, end: int) -> bool:
         """No token ends before ``start`` or starts after ``end``."""
         return not self.starts or (start <= self.suffix_min_end[0] and end >= self.starts[-1])
 
-
-class LexGraph:
-    """Tokens numbered ``0, 1, ...`` in ascending start order, the input
-    length, and the tokens' `AdjacencyIndex`; other tokens raise `ValueError`.
-
-    The edges are computed from the index on first read, then kept.  Two
-    graphs are equal when their tokens and input lengths are: the edges
-    follow from the tokens.
-    """
-
-    def __init__(self, tokens: tuple[Token, ...], input_length: int):
-        self.tokens = tokens
-        self.input_length = input_length
-        self.index = AdjacencyIndex(tokens)
-
-    def __eq__(self, other):
-        return (isinstance(other, LexGraph) and self.tokens == other.tokens
-                and self.input_length == other.input_length)
-
     @cached_property
     def following(self) -> tuple[tuple[int, ...], ...]:
         """Per token id, the ids that follow it: the slice of ids in
-        ``index.window(end)``, one tuple per distinct end."""
-        ids, window = tuple(range(len(self.tokens))), self.index.window
-        by_end = {end: ids[slice(*window(end))] for end in {t.end for t in self.tokens}}
+        ``window(end)``, one tuple per distinct end."""
+        ids = tuple(range(len(self.tokens)))
+        by_end = {end: ids[slice(*self.window(end))] for end in {t.end for t in self.tokens}}
         return tuple([by_end[t.end] for t in self.tokens])
-
-    @cached_property
-    def preceding(self) -> tuple[tuple[int, ...], ...]:
-        """Per token id, the ids it follows, ascending: ``following`` inverted."""
-        preceding: list[list[int]] = [[] for _ in self.tokens]
-        for i, successors in enumerate(self.following):
-            for j in successors:
-                preceding[j].append(i)
-        return tuple(map(tuple, preceding))
 
     @cached_property
     def start_set(self) -> tuple[int, ...]:
         """The tokens that follow none: all that start at or before the
-        smallest end, the ids in ``index.window(-1)``."""
-        return tuple(range(self.index.window(-1)[1]))
+        smallest end, the ids in ``window(-1)``."""
+        return tuple(range(self.window(-1)[1]))
 
 
 def build_graph(result: ScanResult) -> LexGraph:
     """The graph of ``result``'s tokens, numbered in start order as
-    `scanner.scan` emits them.  It builds only the index, in O(T log T) for T
-    tokens; the edges cost O(T log T + E) for E edges when first read."""
+    `scanner.scan` emits them.  It builds only the starts and suffix minima,
+    in O(T log T) for T tokens; the edges cost O(T log T + E) for E edges
+    when first read."""
     return LexGraph(result.tokens, result.input_length)
 
 
@@ -142,7 +119,8 @@ def enumerate_sequences(g: LexGraph, limit: int) -> tuple[list[list[int]], bool]
     """Up to ``limit`` token-id paths plus a flag saying whether more exist."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    paths = list(islice(_iter_paths(g), limit + 1))
+    # islice takes no stop past sys.maxsize, and no graph has that many paths.
+    paths = list(islice(_iter_paths(g), min(limit + 1, sys.maxsize)))
     return paths[:limit], len(paths) > limit
 
 
@@ -178,21 +156,22 @@ def to_json(g: LexGraph) -> str:
     """Compact JSON, written directly: the same bytes as ``json.dumps`` of
     the payload with ``ensure_ascii=False`` and no spaces.
 
-    One pass over the tokens in id order, reading only ``g.index``: a
-    token's successors are the ids in its window, and it adds its own id to
-    each successor's ``preceding`` string.  A predecessor always has the
-    smaller id, so that string is complete when the pass reaches its token.
+    One pass over the tokens in id order, reading only ``g.starts`` and
+    ``g.suffix_min_end``: a token's successors are the ids in its window,
+    and it adds its own id to each successor's ``preceding`` string.  A
+    predecessor always has the smaller id, so that string is complete when
+    the pass reaches its token.
     """
     tokens = g.tokens
     if not tokens:
         return f'{{"input_length":{g.input_length},"tokens":[],"start":[]}}'
-    starts, min_end = g.index.starts, g.index.suffix_min_end
+    starts, min_end = g.starts, g.suffix_min_end
     ids = [*map(str, range(len(tokens)))]
     preceding = [""] * len(tokens)
     names: dict[str, str] = {}  # type name -> its JSON string
     records = []
     for i, name, text, start, end in tokens:
-        lo = bisect_right(starts, end)  # AdjacencyIndex.window(end), inline
+        lo = bisect_right(starts, end)  # g.window(end), inline
         hi = bisect_right(starts, min_end[lo], lo)
         s = ids[i]
         for j in range(lo, hi):

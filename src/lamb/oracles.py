@@ -104,7 +104,7 @@ def scan_oracle(spec: LexSpec, text: str) -> ScanResult:
 
 
 class GraphEdges(NamedTuple):
-    """A graph's edges as `LexGraph` views them, one tuple of ids per token."""
+    """A graph's edges, one tuple of ids per token, and its start set."""
 
     following: tuple[tuple[int, ...], ...]
     preceding: tuple[tuple[int, ...], ...]
@@ -114,10 +114,11 @@ class GraphEdges(NamedTuple):
 def build_graph_oracle(result: ScanResult) -> GraphEdges:
     """Adjacency straight from the definition, one triple loop, no shortcuts.
 
-    Compare it with ``(g.following, g.preceding, g.start_set)`` of
-    `lexgraph.build_graph`'s graph ``g``: those come from the adjacency
-    index.  Like `build_graph`, it takes tokens numbered ``0, 1, ...`` in
-    ascending start order, and raises `ValueError` on any other list.
+    Compare ``following`` and ``start_set`` with the views of the same name
+    of `lexgraph.build_graph`'s graph, and ``preceding`` with the lists that
+    `lexgraph.to_json` writes.  Like `build_graph`, it takes tokens numbered
+    ``0, 1, ...`` in ascending start order, and raises `ValueError` on any
+    other list.
     """
     toks = result.tokens
     for k, t in enumerate(toks):

@@ -11,9 +11,9 @@ second starts after the first ends and no *terminal* token lies strictly
 between them; on terminals this is exactly the graph's following-relation.  A
 parse is accepted when a start-symbol node spans the whole tokenized input: no
 terminal ends before it starts or starts after it ends.  Both tests are O(1)
-lookups in the graph's adjacency index (see `lexgraph.AdjacencyIndex`), and
-the parser reads nothing of the graph but its tokens and that index: it
-never computes the graph's edges.
+lookups in the graph's token starts and suffix minima of token ends (see
+`lexgraph.LexGraph`), and the parser reads nothing of the graph but its
+tokens and those two lists: it never computes the graph's edges.
 
 The chart grows bottom-up from an agenda of nodes, left to right.  Rules
 come compiled into chains of dotted items, ``(lhs, wanted symbol, next item)``
@@ -27,7 +27,7 @@ advances each item waiting for it, by unpacking the item's tuple; a node that
 nothing waits for costs one lookup there.  The list of items waiting for a
 node cannot grow while the node advances them: a node ends no earlier than it
 starts, and every start that may follow it lies past its end.  The starts
-that may follow an end are asked of the index once per distinct end.  A
+that may follow an end are asked of the graph once per distinct end.  A
 complete item becomes an alternative of the node for its rule's left-hand
 side and span, which joins the agenda if it is new; only these nonterminal
 nodes keep a list of alternatives.
@@ -48,6 +48,7 @@ the order the chart finds them.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
@@ -95,7 +96,7 @@ class ParseForest:
 def extended_follows(a: SymbolInstance, b: SymbolInstance, g: LexGraph) -> bool:
     """True when ``b`` may directly continue ``a``: it starts after ``a`` ends
     and no terminal token sits strictly between the two."""
-    return g.index.follows(a.end, b.start)
+    return a.end < b.start <= g.suffix_min_end[bisect_right(g.starts, a.end)]
 
 
 def match_rule_from(
@@ -107,7 +108,7 @@ def match_rule_from(
     of the previous child; candidates are tried in ``store`` order."""
     if first.type_name != rule.rhs[0]:
         return []
-    starts, window = g.index.starts, g.index.window
+    starts, window = g.starts, g.window
     out: list[tuple[int, ...]] = []
     stack = [((first.id,), first.end)]
     while stack:
@@ -133,7 +134,7 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
     single-symbol rules, the forest is acyclic and every node has finitely
     many trees.  A rule listed twice counts once.
     """
-    starts, window = g.index.starts, g.index.window
+    starts, window = g.starts, g.window
     ids, names, texts, _, ends = zip(*g.tokens) if g.tokens else ((),) * 5
     spans = list(zip(names, starts, ends))  # by node id
     chains = grammar.item_chains
@@ -177,7 +178,7 @@ def parse(g: LexGraph, grammar: Grammar) -> ParseForest:
         zip(ids, names, starts, ends, repeat(()), texts),
         ((i, *span, tuple(alts), None) for i, (span, alts) in enumerate(nodes.items(), len(ids))),
     )))
-    whole, root = g.index.spans_all, grammar.start_symbol
+    whole, root = g.spans_all, grammar.start_symbol
     accepted = tuple(i for i, (symbol, start, end) in enumerate(spans) if symbol == root and whole(start, end))
     return ParseForest(instances, accepted)
 

@@ -69,7 +69,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     # Bits of the matchers a match of matcher k moves past i: itself and
     # its lower-precedence suffix.
     moved = [1 << k | ((1 << m) - (1 << lower[k])) for k in range(m)]
-    found: list[tuple[str, int, int]] = []  # (name, start, end) of each token
+    tokens: list[Token] = []
     ignored: list[tuple[int, int]] = []
     all_live = live = (1 << m) - 1  # live: the matchers whose watermark is below i
     wake_at = [0] * (len(text) + 1)  # by offset: matchers whose watermark was set just before it
@@ -99,14 +99,12 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
             live &= ~moved[k]
             wake_at[new_mark + 1] |= moved[k]
             if priorities[k] >= 1:
-                found.append((names[k], i, end))
+                tokens.append(Token(len(tokens), names[k], text[i:end + 1], i, end))
             else:
                 ignored.append((i, end))
                 if priorities[k] == 0:
                     break  # an ignored match suppresses everything else here
-    tokens = tuple([Token(k, name, text[start:end + 1], start, end)
-                    for k, (name, start, end) in enumerate(found)])
-    return ScanResult(tokens, len(text), tuple(ignored))
+    return ScanResult(tuple(tokens), len(text), tuple(ignored))
 
 
 def uncovered_spans(result: ScanResult) -> list[tuple[int, int]]:

@@ -8,7 +8,8 @@ Lexical spec (UTF-8, line based)::
 PRIORITY is an integer >= 1 in ASCII decimal digits (lower value wins at a
 shared start position; ignored patterns act at priority 0).  The regex is
 delimited by unescaped slashes, so ``\\/`` stands for a slash inside.  ``#``
-starts a comment, blank lines are skipped.
+starts a comment, blank lines are skipped.  In both kinds of file a line
+ends at ``\\n``, ``\\r\\n`` or ``\\r``, and at no other character.
 
 Grammar (UTF-8, line based)::
 
@@ -180,6 +181,11 @@ class Grammar:
         return {k: v for k, v in vars(self).items() if k != "item_chains"}
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, ended by ``\\n``, ``\\r\\n`` or ``\\r`` alone, unlike `str.splitlines`."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _take_regex(rest: str, lineno: int) -> str:
     """Extract the pattern between unescaped slashes; the tail may only hold a comment."""
     if not rest.startswith("/"):
@@ -208,7 +214,7 @@ def parse_lex_spec(text: str) -> LexSpec:
     token_defs: list[TokenDef] = []
     ignore_defs: list[IgnoreDef] = []
     ordinal = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -220,7 +226,10 @@ def parse_lex_spec(text: str) -> LexSpec:
             _, name, prio_text, rest = parts
             if not _INTEGER.match(prio_text):
                 raise SpecError(lineno, f"priority must be an integer, got {prio_text!r}")
-            priority = int(prio_text)
+            try:
+                priority = int(prio_text)
+            except ValueError:  # more digits than int() converts
+                raise SpecError(lineno, f"priority too long: {len(prio_text)} characters") from None
             token_defs.append(TokenDef(name, priority, _take_regex(rest, lineno), ordinal, lineno))
         elif keyword == "ignore":
             parts = line.split(None, 1)
@@ -266,7 +275,7 @@ def parse_grammar(text: str, spec: LexSpec) -> Grammar:
     rules: list[GrammarRule] = []
     start: str | None = None
     start_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -10,7 +10,7 @@ import pytest
 
 import lamb
 import support
-from lamb import cli, lexgraph
+from lamb import cli, lexgraph, oracles
 from lamb.cli import run
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
@@ -86,6 +86,16 @@ def test_truncation_warning_states_a_total_of_any_length(files, capsys):
     assert out == "F" + " X" * 14400 + "\n"
     # str() of an int this long raises; Decimal() of an int is exact.
     assert err == f"lamb: warning: sequence list truncated at 1 of {Decimal(2 ** 14400)}\n"
+
+
+def test_limit_past_sys_maxsize_lists_every_sequence(files, capsys):
+    argv = ["sequences", "--spec", files["spec"], "--input", files["input"]]
+    assert run(argv) == 0
+    every, _ = capsys.readouterr()
+    assert len(every.splitlines()) == 4
+    for limit in (sys.maxsize, 10 ** 30):
+        assert run([*argv, "--limit", str(limit)]) == 0
+        assert capsys.readouterr() == (every, "")
 
 
 def test_bad_limit_is_rejected_before_the_input_is_scanned(files, capsys):
@@ -234,6 +244,24 @@ def test_oracle_check_keeps_payload_and_exit_code(files, capsys):
     assert plain_out == checked_out
 
 
+@pytest.mark.parametrize("oracle, cut, problem", [
+    ("build_graph_oracle", lambda edges: edges._replace(following=((), *edges.following[1:])),
+     "build_graph disagrees with build_graph_oracle"),
+    ("build_graph_oracle", lambda edges: edges._replace(start_set=()),
+     "build_graph disagrees with build_graph_oracle"),
+    ("scan_oracle", lambda result: lamb.ScanResult(result.tokens[:-1], result.input_length, result.ignored),
+     "scan disagrees with scan_oracle"),
+], ids=["edge-cut", "start-set-changed", "scan-token-dropped"])
+def test_oracle_check_reports_a_divergence(files, capsys, monkeypatch, oracle, cut, problem):
+    reference = getattr(oracles, oracle)
+    monkeypatch.setattr(oracles, oracle, lambda *args: cut(reference(*args)))
+    code = run(["scan", "--spec", files["spec"], "--input", files["input"], "--oracle-check"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.startswith("0\tAmpersand\t0-0\t&\n")  # the payload is written first
+    assert err == f"lamb: oracle divergence: {problem}\n"
+
+
 @pytest.mark.parametrize("command", [
     ["parse", "--grammar", "{grammar}"],
     ["scan", "--format", "text"],
@@ -252,7 +280,7 @@ def test_command_leaves_the_edges_uncomputed(files, capsys, monkeypatch, command
     assert run([*argv, "--spec", files["spec"], "--input", files["input"]]) == 0
     capsys.readouterr()
     [graph] = graphs
-    assert not {"following", "preceding", "start_set"} & vars(graph).keys()
+    assert not {"following", "start_set"} & vars(graph).keys()
     assert graph.following[0] == (1, 2) and "following" in vars(graph)  # kept once read
 
 
@@ -326,6 +354,16 @@ def test_deeply_nested_pattern_scans(files, capsys):
     assert code == 0
     assert out == "0\tA\t0-0\ta\n1\tA\t1-1\ta\n"
     assert err == ""
+
+
+def test_priority_of_more_digits_than_int_converts_is_an_error(files, capsys):
+    spec = files["dir"] / "long.lamb"
+    spec.write_text("token A " + "1" * 5000 + " /a/\n", encoding="utf-8")
+    code = run(["scan", "--spec", str(spec), "--input", files["input"]])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "lamb: error: line 1: priority too long: 5000 characters\n"
 
 
 def test_deeply_nested_bad_pattern_is_an_error(files, capsys):

@@ -28,8 +28,11 @@ def _edges(graph):
 
 
 def _views(graph):
-    """The graph's edges, comparable with `build_graph_oracle`'s triple."""
-    return graph.following, graph.preceding, graph.start_set
+    """The graph's edges, comparable with `build_graph_oracle`'s triple: the
+    ``following`` and ``start_set`` views, and the ``preceding`` lists that
+    `to_json` writes."""
+    preceding = tuple(tuple(rec["preceding"]) for rec in json.loads(to_json(graph))["tokens"])
+    return graph.following, preceding, graph.start_set
 
 
 def _intervals(spans, type_name="T"):
@@ -68,12 +71,13 @@ def test_numbers_graph_equals_oracle(numbers_scan, numbers_graph):
 
 
 def test_preceding_is_exact_inverse(numbers_graph):
+    following, preceding, _ = _views(numbers_graph)
     for a in range(len(numbers_graph.tokens)):
-        for b in numbers_graph.following[a]:
-            assert a in numbers_graph.preceding[b]
+        for b in following[a]:
+            assert a in preceding[b]
     for b in range(len(numbers_graph.tokens)):
-        for a in numbers_graph.preceding[b]:
-            assert b in numbers_graph.following[a]
+        for a in preceding[b]:
+            assert b in following[a]
 
 
 def test_empty_token_list():

@@ -52,6 +52,13 @@ def test_escaped_slash_inside_pattern():
     assert spec.token_defs[0].pattern_source == r"\/"
 
 
+def test_lines_end_only_at_newline_and_carriage_return():
+    others = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines() also breaks at these
+    spec = parse_lex_spec(f"token A 1 /a{others}/\r\ntoken B 1 /b/\rtoken C 1 /c/\n")
+    assert spec.token_defs[0].pattern_source == "a" + others
+    assert [d.line for d in spec.token_defs] == [1, 2, 3]
+
+
 @pytest.mark.parametrize(
     "text,line,needle",
     [
@@ -80,6 +87,11 @@ def test_escaped_slash_inside_pattern():
         ("token A \u0661 /a/\n", 1, "priority must be an integer"),
         ("token A 1_0 /a/\n", 1, "priority must be an integer"),
         ("token A +1 /a/\n", 1, "priority must be an integer"),
+        # more digits than int() converts
+        pytest.param("token A " + "1" * 5000 + " /a/\n", 1, "priority too long: 5000 characters",
+                     id="priority-of-5000-digits"),
+        # a form feed ends no line
+        ("# comment\fmore\ntoken A x /a/\n", 2, "priority must be an integer"),
     ],
 )
 def test_spec_errors_carry_line_numbers(text, line, needle):
@@ -158,6 +170,8 @@ def test_grammar_errors(numbers_spec, text, needle):
         ("E ::= A\nA ::= Foo\nA ::= Real |\n", 2, "undefined symbol"),
         # the start directive's own line
         ("E ::= Real\n\n\nstart Q\n", 4, "start symbol 'Q' has no rule"),
+        # a form feed ends no line
+        ("# comment\fmore\nE ::= Real |\n", 2, "empty rhs"),
     ],
 )
 def test_grammar_errors_carry_line_numbers(numbers_spec, text, line, needle):
