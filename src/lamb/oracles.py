@@ -7,9 +7,9 @@ paths (the CLI's ``--oracle-check`` does exactly that), so keep them naive.
 
 `scan_oracle` shares only the Thompson construction with the scanner
 (`pattern.compile`, itself checked against Python's ``re`` in the tests).  It
-never calls `Pattern.match_longest_at`, which runs a lazily built DFA: its own
+never runs the scanner's lazily built DFA, `pattern.Automaton`: its own
 engine, `match_longest_oracle`, simulates the NFA breadth first, building the
-set of live NFA states afresh at every character.
+set of live NFA states afresh at every character, ε-closure included.
 """
 
 from __future__ import annotations
@@ -32,25 +32,33 @@ def _label_matches(label: tuple, ch: str) -> bool:
     return any(lo <= ch <= hi for lo, hi in ranges) != negated
 
 
+def _eps_closure(prog: pattern.Pattern, states: set[int]) -> set[int]:
+    """``states`` grown, one ε-edge further per pass, until a pass adds nothing."""
+    added = states
+    while added := {t for s in added for t in prog._eps[s]} - states:
+        states = states | added
+    return states
+
+
 def match_longest_oracle(prog: pattern.Pattern, text: str, pos: int) -> int | None:
     """Same contract as `Pattern.match_longest_at`, by breadth-first NFA simulation.
 
-    Reads only the compiled NFA (``_edges``, ``_closures``, ``_start_closure``
-    and ``_accept``) and caches nothing between characters or calls.
+    Reads only the compiled NFA (``_edges``, ``_eps``, ``_start`` and
+    ``_accept``) and caches nothing between characters or calls.
     """
     if not 0 <= pos <= len(text):
         raise ValueError(f"position {pos} outside input of length {len(text)}")
-    current = set(prog._start_closure)
+    current = _eps_closure(prog, {prog._start})
     best = None
     for i in range(pos, len(text)):
         moved = set()
         for state in current:
             for label, target in prog._edges[state]:
                 if _label_matches(label, text[i]):
-                    moved |= prog._closures[target]
+                    moved.add(target)
         if not moved:
             break
-        current = moved
+        current = _eps_closure(prog, moved)
         if prog._accept in current:
             best = i + 1 - pos
     return best

@@ -6,29 +6,32 @@ negation; grouping ``(...)``; alternation ``|``; the repetitions ``*`` ``+``
 ``?``; and ``.`` for any character except newline.  No anchors, no
 backreferences, no counted repetition.
 
-Patterns compile to a small Thompson-style NFA.  Match queries run on a DFA
-built from it lazily by subset construction (Cox, "Regular Expression
-Matching Can Be Simple And Fast", 2007): a DFA state is the set of NFA states
-reachable so far, and its transitions are computed the first time they are
-needed, then kept.  A transition is computed once per character class, as in
-RE2's DFA (Cox, "Regular Expression Matching in the Wild", 2010): the code
+A pattern compiles to a small Thompson-style NFA, and `Pattern` is that NFA
+alone.  `union` puts one or more patterns, the matchers, into one
+`Automaton`: their NFA states share one numbering, and each DFA state records
+which matchers accept in it.  One walk from a position then gives the longest
+match of every matcher the query names, which is how the scanner tries a
+whole spec at once.
+
+The automaton's DFA is built lazily by subset construction (Thompson, 1968;
+Cox, "Regular Expression Matching Can Be Simple And Fast", 2007): a DFA state
+is the set of NFA states reachable so far, ε-closure included, and its
+transitions are computed the first time they are needed, then kept.  The
+ε-closure is found when a DFA state is made, by one search over ε-edges, so
+no closure is kept per NFA state and building an automaton stays linear in
+the patterns' size.  A transition is computed once per character class, as
+in RE2's DFA (Cox, "Regular Expression Matching in the Wild", 2010): the code
 points at which some edge label of the NFA starts or stops holding cut the
 alphabet into classes, two characters of one class satisfy the same labels,
 and so every state moves to the same state on both.  A query therefore costs
 one dict lookup per character once the states it visits exist, and never
 more than one subset step per character, so it stays linear in the
-remaining input regardless of the pattern.
-
-`union` puts several patterns, the matchers, into one `Automaton`: their NFA
-states share one numbering, and each DFA state records which matchers accept
-in it.  One walk from a position then gives the longest match of every
-matcher the query names, which is how the scanner tries a whole spec at once.
-A `Pattern` is the one-matcher case of the same automaton.  Each automaton
-keeps at most ``_DFA_CACHE_LIMIT`` states and ``_DFA_TRANSITION_LIMIT``
-per-character transitions; past either its cache is emptied and rebuilt on
-demand, so memory stays bounded on patterns whose full DFA is exponential
-and on inputs of many distinct characters, even for an automaton that lives
-as long as the process.
+remaining input regardless of the pattern.  Each automaton keeps at most
+``_DFA_CACHE_LIMIT`` states and ``_DFA_TRANSITION_LIMIT`` per-character
+transitions; past either its cache is emptied and rebuilt on demand, so
+memory stays bounded on patterns whose full DFA is exponential and on inputs
+of many distinct characters, even for an automaton that lives as long as the
+process.
 
 Matching is anchored at the query position, every alternation branch
 competes, and the longest hit wins.  Zero-length matches are never reported.
@@ -114,31 +117,30 @@ class _DState:
 
 
 class Automaton:
-    """A DFA built lazily over the Thompson NFAs of one or more matchers.
+    """A DFA built lazily over the Thompson NFAs of one or more matchers; `union` builds it.
 
     A query names the matchers it wants by a bitmask, ``live`` (bit ``k`` for
-    matcher ``k``); its start state, over the union of their start closures,
+    matcher ``k``); its start state, the ε-closure of their NFA start states,
     is kept in ``_starts``.  ``_dfa`` maps each NFA state set to its DFA
     state.  Both are caches that only gain states equal by content to ones
     they could have built, or are emptied together past ``_DFA_CACHE_LIMIT``
     states or ``_DFA_TRANSITION_LIMIT`` transitions (``_transitions`` counts
     those added since the last emptying), so answers never depend on earlier
-    queries.  ``_bounds``, the character class boundaries of the NFA's
-    labels, is found by the first subset step.
+    queries.
     """
 
-    __slots__ = ("_edges", "_closures", "_start_closures", "_accepting", "_dfa", "_starts",
+    __slots__ = ("_edges", "_eps", "_heads", "_accepting", "_dfa", "_starts",
                  "_transitions", "_bounds")
 
-    def __init__(self, edges, closures, start_closures, accepting):
+    def __init__(self, edges, eps, heads, accepting):
         self._edges = edges
-        self._closures = closures
-        self._start_closures = start_closures  # per matcher
+        self._eps = eps
+        self._heads = heads  # the NFA start state of each matcher
         self._accepting = accepting  # NFA accept state -> its matcher
         self._dfa: dict[frozenset[int], _DState] = {}
         self._starts: dict[int, _DState] = {}
         self._transitions = 0
-        self._bounds: list[str] | None = None
+        self._bounds = _class_bounds(edges)
 
     def longest_at(self, text: str, pos: int, live: int) -> list[tuple[int, int]] | tuple[()]:
         """``(k, length)`` of the longest match at ``pos`` of each matcher ``k`` in ``live``.
@@ -182,11 +184,21 @@ class Automaton:
         return sorted((k, e - pos) for k, e in ends.items())
 
     def _start_state(self, live: int) -> _DState:
-        nfa = frozenset().union(
-            *(c for k, c in enumerate(self._start_closures) if live >> k & 1)
-        )
-        state = self._starts[live] = self._intern(nfa)
+        heads = [s for k, s in enumerate(self._heads) if live >> k & 1]
+        state = self._starts[live] = self._intern(self._closure(heads))
         return state
+
+    def _closure(self, seeds: list[int]) -> frozenset[int]:
+        """``seeds`` and every NFA state reachable from them over ε-edges."""
+        eps = self._eps
+        seen = set(seeds)
+        stack = list(seen)
+        while stack:
+            for t in eps[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
 
     def _intern(self, nfa: frozenset[int]) -> _DState:
         state = self._dfa.get(nfa)
@@ -200,8 +212,6 @@ class Automaton:
 
     def _step(self, state: _DState, ch: str) -> _DState | bool:
         """Keep the transition of ``state`` on ``ch``, computed once per class."""
-        if self._bounds is None:
-            self._bounds = _class_bounds(self._edges)
         cls = bisect_right(self._bounds, ch)
         nxt = state.by_class.get(cls)
         if nxt is None:
@@ -221,29 +231,19 @@ class Automaton:
     def _subset_step(self, state: _DState, ch: str) -> _DState | bool:
         """The DFA state for the NFA states that ``state`` reaches on ``ch``."""
         edges = self._edges
-        closures = self._closures
-        moved: set[int] = set()
-        for s in state.nfa:
-            for label, target in edges[s]:
-                if _label_matches(label, ch):
-                    moved |= closures[target]
-        return self._intern(frozenset(moved)) if moved else False
+        moved = [target for s in state.nfa for label, target in edges[s] if _label_matches(label, ch)]
+        return self._intern(self._closure(moved)) if moved else False
 
 
-class Pattern(Automaton):
-    """Compiled recognizer for one pattern, the one-matcher automaton; safe to share.
+class Pattern:
+    """The Thompson NFA of one pattern, immutable: ``_edges[s]`` holds the labelled
+    edges ``(label, target)`` out of state ``s`` and ``_eps[s]`` its ε-edge
+    targets.  It is matched by an `Automaton`, which `union` builds."""
 
-    The NFA (``_edges``, ``_closures``, ``_start_closure``, ``_accept``) is
-    immutable.  `compile` builds no DFA state.
-    """
+    __slots__ = ("source", "_edges", "_eps", "_start", "_accept")
 
-    __slots__ = ("source", "_start_closure", "_accept")
-
-    def __init__(self, source, edges, closures, start, accept):
-        super().__init__(edges, closures, (closures[start],), {accept: 0})
-        self.source = source
-        self._start_closure = closures[start]
-        self._accept = accept
+    def __init__(self, source, edges, eps, start, accept):
+        self.source, self._edges, self._eps, self._start, self._accept = source, edges, eps, start, accept
 
     def __repr__(self) -> str:
         return f"Pattern({self.source!r})"
@@ -257,40 +257,24 @@ class Pattern(Automaton):
         n = len(text)
         if not 0 <= pos <= n:
             raise ValueError(f"position {pos} outside input of length {n}")
-        hit = self.longest_at(text, pos, 1)
+        hit = union([self]).longest_at(text, pos, 1)
         return hit[0][1] if hit else None
 
 
 def union(patterns: list[Pattern]) -> Automaton:
-    """One automaton whose matcher ``k`` is ``patterns[k]``; builds no DFA state."""
+    """One automaton whose matcher ``k`` is ``patterns[k]``, its NFA states
+    numbered after those of ``patterns[:k]``; builds no DFA state."""
     edges: list[tuple] = []
-    closures: list[frozenset[int]] = []
-    start_closures = []
+    eps: list[tuple[int, ...]] = []
+    heads = []
     accepting = {}
     for k, p in enumerate(patterns):
         base = len(edges)
         edges += [tuple((label, t + base) for label, t in out) for out in p._edges]
-        closures += [frozenset(s + base for s in c) for c in p._closures]
-        start_closures.append(frozenset(s + base for s in p._start_closure))
+        eps += [tuple(t + base for t in out) for out in p._eps]
+        heads.append(p._start + base)
         accepting[p._accept + base] = k
-    return Automaton(edges, closures, tuple(start_closures), accepting)
-
-
-def _epsilon_closures(eps: list[list[int]]) -> list[frozenset[int]]:
-    closures = []
-    for s in range(len(eps)):
-        if not eps[s]:  # about half the states of a Thompson NFA
-            closures.append(frozenset((s,)))
-            continue
-        seen = {s}
-        stack = [s]
-        while stack:
-            for t in eps[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        closures.append(frozenset(seen))
-    return closures
+    return Automaton(edges, eps, tuple(heads), accepting)
 
 
 class _Compiler:
@@ -361,9 +345,9 @@ class _Compiler:
             self.fail("unbalanced group", groups[-1][2])
         branches.append(self.sequence(frags))
         start, accept = self.alternation(branches)
-        closures = _epsilon_closures(self.eps)
-        edges = [tuple(e) for e in self.edges]
-        return Pattern(self.source, edges, closures, start, accept)
+        edges = tuple(tuple(e) for e in self.edges)
+        eps = tuple(tuple(e) for e in self.eps)
+        return Pattern(self.source, edges, eps, start, accept)
 
     def alternation(self, frags: list[tuple[int, int]]) -> tuple[int, int]:
         if len(frags) == 1:

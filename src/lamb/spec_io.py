@@ -9,7 +9,10 @@ PRIORITY is an integer >= 1 in ASCII decimal digits (lower value wins at a
 shared start position; ignored patterns act at priority 0).  The regex is
 delimited by unescaped slashes, so ``\\/`` stands for a slash inside.  ``#``
 starts a comment, blank lines are skipped.  In both kinds of file a line
-ends at ``\\n``, ``\\r\\n`` or ``\\r``, and at no other character.
+ends at ``\\n``, ``\\r\\n`` or ``\\r``, and at no other character.  Spaces
+and tabs, and no other character, separate the fields of a line and are
+trimmed from its ends: other whitespace, such as U+001C, U+0085 or U+3000,
+is part of the field it stands in.
 
 Grammar (UTF-8, line based)::
 
@@ -47,6 +50,7 @@ __all__ = [
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INTEGER = re.compile(r"-?[0-9]+\Z")  # ASCII digits only, unlike int()
+_BLANKS = re.compile(r"[ \t]+")  # the field separator, unlike str.split()
 
 
 class SpecError(ValueError):
@@ -203,7 +207,7 @@ def _take_regex(rest: str, lineno: int) -> str:
     source = rest[1:i]
     if not source:
         raise SpecError(lineno, "empty pattern")
-    trailer = rest[i + 1:].strip()
+    trailer = rest[i + 1:].strip(" \t")
     if trailer and not trailer.startswith("#"):
         raise SpecError(lineno, f"unexpected text after pattern: {trailer!r}")
     return source
@@ -215,12 +219,12 @@ def parse_lex_spec(text: str) -> LexSpec:
     ignore_defs: list[IgnoreDef] = []
     ordinal = 0
     for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
-        keyword = line.split(None, 1)[0]
+        keyword = _BLANKS.split(line, maxsplit=1)[0]
         if keyword == "token":
-            parts = line.split(None, 3)
+            parts = _BLANKS.split(line, maxsplit=3)
             if len(parts) != 4:
                 raise SpecError(lineno, "expected 'token NAME PRIORITY /REGEX/'")
             _, name, prio_text, rest = parts
@@ -232,7 +236,7 @@ def parse_lex_spec(text: str) -> LexSpec:
                 raise SpecError(lineno, f"priority too long: {len(prio_text)} characters") from None
             token_defs.append(TokenDef(name, priority, _take_regex(rest, lineno), ordinal, lineno))
         elif keyword == "ignore":
-            parts = line.split(None, 1)
+            parts = _BLANKS.split(line, maxsplit=1)
             if len(parts) != 2:
                 raise SpecError(lineno, "expected 'ignore /REGEX/'")
             ignore_defs.append(IgnoreDef(_take_regex(parts[1], lineno), ordinal, lineno))
@@ -276,11 +280,11 @@ def parse_grammar(text: str, spec: LexSpec) -> Grammar:
     start: str | None = None
     start_line = 0
     for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
         if "::=" not in line:
-            parts = line.split()
+            parts = _BLANKS.split(line)
             if parts[0] == "start":
                 if len(parts) != 2 or not _NAME.match(parts[1]):
                     raise SpecError(lineno, "expected 'start NAME'")
@@ -290,11 +294,11 @@ def parse_grammar(text: str, spec: LexSpec) -> Grammar:
                 continue
             raise SpecError(lineno, "expected 'LHS ::= SYM SYM ...'")
         lhs_text, rhs_text = line.split("::=", 1)
-        lhs = lhs_text.strip()
+        lhs = lhs_text.strip(" \t")
         if not _NAME.match(lhs):
             raise SpecError(lineno, f"bad rule name {lhs!r}")
         for alternative in rhs_text.split("|"):
-            symbols = alternative.split()
+            symbols = [sym for sym in _BLANKS.split(alternative) if sym]
             for sym in symbols:
                 if not _NAME.match(sym):
                     raise SpecError(lineno, f"bad symbol {sym!r}")

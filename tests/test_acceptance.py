@@ -196,6 +196,40 @@ def test_criterion_8_complexity_smoke():
             f"scan x{scan_ratio:.2f}, graph x{graph_ratio:.2f}")
 
 
+_STARS_TEXT = ("aaab ab b aaaa " * 4)[:50]
+
+
+def _load_and_scan_stars(count):
+    """Load a spec of one pattern of ``count`` ``a*`` then ``b``, plus ``/a/``, and scan 50 characters."""
+    return scan(parse_lex_spec(f"token A 1 /{'a*' * count}b/\ntoken B 2 /a/\n"), _STARS_TEXT)
+
+
+def test_criterion_8_spec_of_4000_stars_loads_and_scans():
+    t0 = time.perf_counter()
+    result = _load_and_scan_stars(4000)
+    elapsed = time.perf_counter() - t0
+    # (a*){n}b is the language a*b for every n >= 1, so the tokens are those of /a*b/.
+    expected = scan_oracle(parse_lex_spec("token A 1 /a*b/\ntoken B 2 /a/\n"), _STARS_TEXT)
+    ok = result.tokens == expected.tokens and len(result.tokens) == 22 and elapsed < 2.0
+    _report(8, "a pattern of 4,000 a* loads and scans 50 characters in under 2 s, with the oracle's tokens",
+            ok, f"{elapsed:.3f}s, {len(result.tokens)} tokens")
+
+
+def test_criterion_8_spec_load_growth():
+    best = {1000: math.inf, 4000: math.inf}
+    # As in criterion 10: the collector off, and the sizes alternating.
+    gc.disable()
+    try:
+        for _ in range(5):
+            for count in best:
+                best[count] = min(best[count], _best_time(lambda: _load_and_scan_stars(count), repeats=1, trials=1))
+    finally:
+        gc.enable()
+    ratio = best[4000] / max(best[1000], 1e-9)
+    _report(8, "spec load plus scan grows by at most 8x from 1,000 to 4,000 a*", ratio <= 8.0,
+            f"x{ratio:.2f} ({best[1000]:.4f}s -> {best[4000]:.4f}s)")
+
+
 def test_criterion_10_packed_ambiguity():
     spec = parse_lex_spec("token x 1 /x/\n")
     grammar = parse_grammar("E ::= E E | x\n", spec)

@@ -163,9 +163,9 @@ def test_seeded_sweep_against_brute_force():
         text = support.random_input(rng, max_length=30)
         pos = rng.randint(0, len(text))
         p = compile_pattern(source)
-        assert p.match_longest_at(text, pos) == support.longest_by_re(source, text, pos), (
-            source, text, pos,
-        )
+        expected = support.longest_by_re(source, text, pos)
+        assert p.match_longest_at(text, pos) == expected, (source, text, pos)
+        assert oracles.match_longest_oracle(p, text, pos) == expected, (source, text, pos)
 
 
 def test_nesting_deeper_than_the_recursion_limit_compiles():
@@ -183,9 +183,17 @@ def test_unbalanced_deep_nesting_is_a_pattern_error():
 
 def test_compile_builds_no_dfa_state():
     p = compile_pattern(r"(-|\+)?[0-9]+\.[0-9]+")
-    assert p._dfa == {} and p._starts == {}
-    assert p.match_longest_at("1.5", 0) == 3
-    assert p._dfa
+    assert not hasattr(p, "_dfa")  # a pattern is its NFA alone
+    automaton = pattern.union([p])
+    assert automaton._dfa == {} and automaton._starts == {}
+    assert automaton.longest_at("1.5", 0, 1) == [(0, 3)]
+    assert automaton._dfa
+
+
+def _longest(automaton, text, pos):
+    """The one matcher's longest match at ``pos``, as `match_longest_oracle` gives it."""
+    hit = automaton.longest_at(text, pos, 1)
+    return hit[0][1] if hit else None
 
 
 def _mixed_text(length: int) -> str:
@@ -201,11 +209,12 @@ def test_reused_pattern_agrees_with_nfa_at_every_position(monkeypatch, cache_lim
     for source in (r".+", r"[^ab\n]+", r"(a|é)+b?", r"[α-ω]+|[0-9]+(\.[0-9]+)?",
                    r"[^0-9 a]*(ж|中)", r"(a|ab)(\n|\t)?", r"\n|.\.?"):
         p = compile_pattern(source)
+        automaton = pattern.union([p])
         for pos in range(len(text) + 1):
-            assert p.match_longest_at(text, pos) == oracles.match_longest_oracle(p, text, pos), (
+            assert _longest(automaton, text, pos) == oracles.match_longest_oracle(p, text, pos), (
                 source, pos,
             )
-        assert len(p._dfa) <= cache_limit
+        assert len(automaton._dfa) <= cache_limit
 
 
 class _WatchedCache(dict):
@@ -227,13 +236,14 @@ def test_dfa_cache_is_bounded_and_answers_survive_flushes():
     # The DFA of (a|b)*a(a|b){12} has 2**13 states; a long random ab input
     # visits more of them than the cache keeps.
     p = compile_pattern("(a|b)*a" + "(a|b)" * 12)
-    p._dfa = cache = _WatchedCache()
+    automaton = pattern.union([p])
+    automaton._dfa = cache = _WatchedCache()
     rng = random.Random(7)
     text = "".join(rng.choice("ab") for _ in range(12000))
     for pos in (0, 1, 2, 5000, 11980):
-        assert p.match_longest_at(text, pos) == oracles.match_longest_oracle(p, text, pos), pos
+        assert _longest(automaton, text, pos) == oracles.match_longest_oracle(p, text, pos), pos
         # After a flush the next query starts from a fresh state, never an old one.
-        assert all(p._dfa.get(start.nfa) is start for start in p._starts.values())
+        assert all(automaton._dfa.get(start.nfa) is start for start in automaton._starts.values())
     assert cache.clears >= 1
     assert cache.largest == pattern._DFA_CACHE_LIMIT
 

@@ -59,6 +59,22 @@ def test_lines_end_only_at_newline_and_carriage_return():
     assert [d.line for d in spec.token_defs] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("blank", ["\x1c", "\x85", "\u3000"])  # each one str.split() breaks at
+def test_spec_fields_are_separated_by_spaces_and_tabs_only(blank):
+    for text, needle in [
+        (f"token A{blank}1 /a/\n", "expected 'token NAME PRIORITY /REGEX/'"),
+        (f"token{blank}B 2 /b/\n", "unrecognized directive"),
+        (f"ignore{blank}/ +/\n", "unrecognized directive"),
+        (f"token B 2 /b/{blank}\n", "unexpected text after pattern"),
+        (f"{blank}token B 2 /b/\n", "unrecognized directive"),
+    ]:
+        with pytest.raises(SpecError) as excinfo:
+            parse_lex_spec(text)
+        assert excinfo.value.line == 1 and needle in excinfo.value.message, text
+    spec = parse_lex_spec("\ttoken\tA \t1\t/a/\t# c \nignore\t/ +/\t\n")
+    assert spec == parse_lex_spec("token A 1 /a/\nignore / +/\n")
+
+
 @pytest.mark.parametrize(
     "text,line,needle",
     [
@@ -184,6 +200,21 @@ def test_grammar_errors_carry_line_numbers(numbers_spec, text, line, needle):
 def test_grammar_comments_allowed(numbers_spec):
     grammar = parse_grammar("# comment\nE ::= Real # trailing\n", numbers_spec)
     assert grammar.rules[0].rhs == ("Real",)
+
+
+@pytest.mark.parametrize("blank", ["\x1c", "\x85", "\u3000"])  # each one str.split() breaks at
+def test_grammar_fields_are_separated_by_spaces_and_tabs_only(numbers_spec, blank):
+    for text, needle in [
+        (f"E ::= Real{blank}Real\n", "bad symbol"),
+        (f"E ::= Real{blank}\n", "bad symbol"),
+        (f"E{blank}::= Real\n", "bad rule name"),
+        (f"start{blank}E\nE ::= Real\n", "expected 'LHS ::= SYM SYM ...'"),
+    ]:
+        with pytest.raises(SpecError) as excinfo:
+            parse_grammar(text, numbers_spec)
+        assert excinfo.value.line == 1 and needle in excinfo.value.message, text
+    grammar = parse_grammar("\tstart\tE\t\nE\t::=\tReal \tInteger\t|\tPoint\t# c\n", numbers_spec)
+    assert grammar == parse_grammar("start E\nE ::= Real Integer | Point\n", numbers_spec)
 
 
 def test_validate_ok(numbers_spec):
