@@ -9,9 +9,11 @@ backreferences, no counted repetition.
 A pattern compiles to a small Thompson-style NFA, and `Pattern` is that NFA
 alone.  `union` puts one or more patterns, the matchers, into one
 `Automaton`: their NFA states share one numbering, and each DFA state records
-which matchers accept in it.  One walk from a position then gives the longest
-match of every matcher the query names, which is how the scanner tries a
-whole spec at once.
+which matchers accept in it.  A walk from a position takes the `start` state
+of the matchers it names and moves one character at a time, by the state's
+``next`` dict or, on a miss, by `step`; the offsets where a matcher accepts
+give its longest match.  One walk so serves every matcher it names, which is
+how the scanner, walking the states itself, tries a whole spec at once.
 
 The automaton's DFA is built lazily by subset construction (Thompson, 1968;
 Cox, "Regular Expression Matching Can Be Simple And Fast", 2007): a DFA state
@@ -23,7 +25,7 @@ the patterns' size.  A transition is computed once per character class, as
 in RE2's DFA (Cox, "Regular Expression Matching in the Wild", 2010): the code
 points at which some edge label of the NFA starts or stops holding cut the
 alphabet into classes, two characters of one class satisfy the same labels,
-and so every state moves to the same state on both.  A query therefore costs
+and so every state moves to the same state on both.  A walk therefore costs
 one dict lookup per character once the states it visits exist, and never
 more than one subset step per character, so it stays linear in the
 remaining input regardless of the pattern.  Each automaton keeps at most
@@ -104,12 +106,16 @@ class _DState:
 
     A transition is computed once per character class, into ``by_class``;
     ``next`` copies it for each character seen, so that a walk over known
-    states is one dict lookup per character.
+    states is one dict lookup per character.  ``id`` numbers the states of
+    one automaton in the order they were made, never reusing a number, so a
+    caller can key what it learns of a state by ``id`` without keeping the
+    state alive past a flush of the cache.
     """
 
-    __slots__ = ("nfa", "accepts", "next", "by_class")
+    __slots__ = ("nfa", "accepts", "next", "by_class", "id")
 
-    def __init__(self, nfa: frozenset[int], accepts: tuple[int, ...]):
+    def __init__(self, nfa: frozenset[int], accepts: tuple[int, ...], id: int):
+        self.id = id
         self.nfa = nfa
         self.accepts = accepts  # matchers whose accept state is in ``nfa``, ascending
         self.next: dict[str, _DState | bool] = {}  # False: the empty set, no match beyond
@@ -119,18 +125,22 @@ class _DState:
 class Automaton:
     """A DFA built lazily over the Thompson NFAs of one or more matchers; `union` builds it.
 
-    A query names the matchers it wants by a bitmask, ``live`` (bit ``k`` for
-    matcher ``k``); its start state, the ε-closure of their NFA start states,
-    is kept in ``_starts``.  ``_dfa`` maps each NFA state set to its DFA
-    state.  Both are caches that only gain states equal by content to ones
-    they could have built, or are emptied together past ``_DFA_CACHE_LIMIT``
-    states or ``_DFA_TRANSITION_LIMIT`` transitions (``_transitions`` counts
-    those added since the last emptying), so answers never depend on earlier
-    queries.
+    A walk names the matchers it wants by a bitmask, ``live`` (bit ``k`` for
+    matcher ``k``), takes their `start` state, and moves on one character at
+    a time: ``state.next.get(ch)``, or `step` where that is not known yet.
+    ``state.accepts`` lists the matchers whose match ends where the walk
+    stands; the walk is over when the next state is False.
+
+    ``_starts`` keeps the start state of each ``live`` and ``_dfa`` maps each
+    NFA state set to its DFA state.  Both are caches that only gain states
+    equal by content to ones they could have built, or are emptied together
+    past ``_DFA_CACHE_LIMIT`` states or ``_DFA_TRANSITION_LIMIT`` transitions
+    (``_transitions`` counts those added since the last emptying), so answers
+    never depend on earlier walks.
     """
 
     __slots__ = ("_edges", "_eps", "_heads", "_accepting", "_dfa", "_starts",
-                 "_transitions", "_bounds")
+                 "_transitions", "_bounds", "_made")
 
     def __init__(self, edges, eps, heads, accepting):
         self._edges = edges
@@ -141,52 +151,36 @@ class Automaton:
         self._starts: dict[int, _DState] = {}
         self._transitions = 0
         self._bounds = _class_bounds(edges)
+        self._made = 0  # DFA states made, the next state's id
 
-    def longest_at(self, text: str, pos: int, live: int) -> list[tuple[int, int]] | tuple[()]:
-        """``(k, length)`` of the longest match at ``pos`` of each matcher ``k`` in ``live``.
-
-        One walk serves every matcher: it runs until no live matcher can
-        extend its match.  Pairs come in ascending ``k``; matchers with no
-        match of length >= 1 are left out.
-        """
-        state = self._starts.get(live) or self._start_state(live)
-        n = len(text)
-        i = pos
-        accepts = ()  # the matchers accepting at ``end``, the latest accepting offset
-        end = pos
-        earlier = None  # (accepts, end) of earlier accepting stretches
-        while i < n:  # most walks stop within two characters: skip building a range
-            nxt = state.next.get(text[i])
-            if not nxt:  # None: not computed yet; False: no NFA state left
-                if nxt is None:
-                    nxt = self._step(state, text[i])
-                if not nxt:
-                    break
-            i += 1
-            state = nxt
-            if state.accepts:
-                if state.accepts != accepts:
-                    if accepts:
-                        if earlier is None:
-                            earlier = []
-                        earlier.append((accepts, end))
-                    accepts = state.accepts
-                end = i
-        if earlier is None:
-            if len(accepts) == 1:
-                return [(accepts[0], end - pos)]
-            return [(k, end - pos) for k in accepts] if accepts else ()
-        ends = dict.fromkeys(accepts, end)
-        for earlier_accepts, earlier_end in reversed(earlier):
-            for k in earlier_accepts:
-                if k not in ends:
-                    ends[k] = earlier_end
-        return sorted((k, e - pos) for k, e in ends.items())
-
-    def _start_state(self, live: int) -> _DState:
-        heads = [s for k, s in enumerate(self._heads) if live >> k & 1]
-        state = self._starts[live] = self._intern(self._closure(heads))
+    def start(self, live: int) -> _DState:
+        """The start state of the matchers in ``live``: the ε-closure of their NFA start states."""
+        state = self._starts.get(live)
+        if state is None:
+            heads = [s for k, s in enumerate(self._heads) if live >> k & 1]
+            state = self._starts[live] = self._intern(self._closure(heads))
         return state
+
+    def step(self, state: _DState, ch: str) -> _DState | bool:
+        """The state ``state`` moves to on ``ch``; False when no NFA state is left.
+
+        The answer is computed once per character class and kept in
+        ``state.next``, so a walk reads ``state.next.get(ch)`` first and calls
+        this only on a miss.  A call may empty the cache: after it, `start`
+        must be asked again rather than a start state kept from before.
+        """
+        nxt = state.next.get(ch)
+        if nxt is not None:
+            return nxt
+        cls = bisect_right(self._bounds, ch)
+        nxt = state.by_class.get(cls)
+        if nxt is None:
+            nxt = state.by_class[cls] = self._subset_step(state, ch)
+        if self._transitions >= _DFA_TRANSITION_LIMIT:
+            self._clear()
+        state.next[ch] = nxt
+        self._transitions += 1
+        return nxt
 
     def _closure(self, seeds: list[int]) -> frozenset[int]:
         """``seeds`` and every NFA state reachable from them over ε-edges."""
@@ -207,23 +201,12 @@ class Automaton:
                 self._clear()
             accepting = self._accepting
             accepts = tuple(sorted(accepting[s] for s in nfa if s in accepting))
-            state = self._dfa[nfa] = _DState(nfa, accepts)
+            state = self._dfa[nfa] = _DState(nfa, accepts, self._made)
+            self._made += 1
         return state
 
-    def _step(self, state: _DState, ch: str) -> _DState | bool:
-        """Keep the transition of ``state`` on ``ch``, computed once per class."""
-        cls = bisect_right(self._bounds, ch)
-        nxt = state.by_class.get(cls)
-        if nxt is None:
-            nxt = state.by_class[cls] = self._subset_step(state, ch)
-        if self._transitions >= _DFA_TRANSITION_LIMIT:
-            self._clear()
-        state.next[ch] = nxt
-        self._transitions += 1
-        return nxt
-
     def _clear(self) -> None:
-        # Old states stay reachable only from a query still running.
+        # Old states stay reachable only from a walk still running.
         self._dfa.clear()
         self._starts.clear()
         self._transitions = 0
@@ -257,8 +240,16 @@ class Pattern:
         n = len(text)
         if not 0 <= pos <= n:
             raise ValueError(f"position {pos} outside input of length {n}")
-        hit = union([self]).longest_at(text, pos, 1)
-        return hit[0][1] if hit else None
+        automaton = union([self])
+        state = automaton.start(1)
+        longest = None
+        for i in range(pos, n):
+            state = automaton.step(state, text[i])
+            if not state:
+                break
+            if state.accepts:
+                longest = i + 1 - pos
+        return longest
 
 
 def union(patterns: list[Pattern]) -> Automaton:

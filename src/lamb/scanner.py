@@ -14,11 +14,29 @@ lower precedence are dragged forward to the same offset.  That is what keeps,
 say, a keyword's characters from re-matching as an identifier suffix while
 still letting genuinely overlapping alternatives coexist.
 
-The matching itself is one walk per position of the spec's automaton
-(`LexSpec.automaton`, built by the first scan), started from the matchers
-whose watermark lies below the position.  That walk gives the longest match
-of each of them at once; the precedence and watermark rules above then run
-over those lengths.
+The matching itself is one walk per position over the DFA states of the
+spec's automaton (`LexSpec.automaton`, built by the first scan), which `scan`
+steps through inline: from the start state of the matchers whose watermark
+lies below the position, one ``next`` lookup per character, and
+`Automaton.step` only where a transition is not known yet.  The walk notes
+which matchers accept at each offset, and so gives the longest match of each
+of them at once; the precedence and watermark rules above then run over
+those ends directly.
+
+Walks from every position would make the scan quadratic on text that keeps a
+walk alive without completing a match, such as ``a``×n under ``/a*b/``.  So
+one scan keeps the failure memo of Reps ("'Maximal-munch' tokenization in
+linear time", TOPLAS 1998): the pairs (DFA state, offset) from which a walk
+reached no accepting state.  Such a pair depends on the text and the
+automaton only, so a later walk that reaches it stops there with the same
+answer.  Past their last accept, the walks of one scan then read each pair at
+most once between them; before it, a walk reads no further than its longest
+match.  The scan of ``a``×n under ``/a*b/`` plus ``/a/`` is so linear.  Walks
+check and record pairs only from ``_MEMO_AFTER`` characters on, since most
+walks end sooner and then pay nothing for the memo.  The memo keys a state by
+its ``id``, never by the state itself, and the scan lets go of the start
+state it holds whenever a step may have emptied the automaton's cache, so a
+scan keeps no emptied state alive.
 """
 
 from __future__ import annotations
@@ -30,6 +48,8 @@ from typing import NamedTuple
 from .spec_io import LexSpec
 
 __all__ = ["ScanResult", "Token", "render_tokens_text", "scan", "uncovered_spans"]
+
+_MEMO_AFTER = 8  # a walk checks and records its (state, offset) pairs from this many characters on
 
 
 class Token(NamedTuple):
@@ -58,7 +78,8 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     matches are simply passed over; `uncovered_spans` reports them.
     """
     defs = spec.by_precedence  # matcher k is defs[k], in precedence order
-    longest_at = spec.automaton.longest_at
+    automaton = spec.automaton
+    start_of, step = automaton.start, automaton.step
     # Per matcher: priority (0 = ignored), token name, watermark, and where
     # its suffix of strictly lower precedence starts.
     priorities = [d.priority for d in defs]
@@ -66,27 +87,93 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     m = len(defs)
     marks = [-1] * m
     lower = [bisect_right(priorities, p) for p in priorities]
-    # Bits of the matchers a match of matcher k moves past i: itself and
-    # its lower-precedence suffix.
-    moved = [1 << k | ((1 << m) - (1 << lower[k])) for k in range(m)]
+    # Bits of the matchers a match of matcher k drags along, its
+    # lower-precedence suffix, and of those it moves past i: that suffix and
+    # k itself.
+    dragged = [(1 << m) - (1 << lo) for lo in lower]
+    moved = [1 << k | dragged[k] for k in range(m)]
+    kept = [~bits for bits in moved]
     tokens: list[Token] = []
     ignored: list[tuple[int, int]] = []
+    new_token = tuple.__new__  # a Token from the tuple of its fields, without the named tuple's __new__
+    n = len(text)
     all_live = live = (1 << m) - 1  # live: the matchers whose watermark is below i
-    wake_at = [0] * (len(text) + 1)  # by offset: matchers whose watermark was set just before it
-    for i in range(len(text)):
-        woken = wake_at[i]
-        while woken:  # skip matchers whose watermark has since moved to i or beyond
-            bit = woken & -woken
-            if marks[bit.bit_length() - 1] < i:
-                live |= bit
-            woken ^= bit
+    # By offset: the matchers whose watermark lies just before it.  Each
+    # matcher outside ``live`` is in exactly one entry, that of its watermark.
+    wake_at = [0] * (n + 1)
+    # Reps's memo: the pairs (DFA state, offset) from which a walk reaches
+    # no accepting state, each kept as ``state.id * stride + offset``.
+    failed: set[int] = set()
+    passed: list[int] = []  # such pairs of the current walk since its last accept
+    stride = n + 1
+    # The start state of start_live, let go of whenever a step may have
+    # emptied the DFA cache, so that it keeps no emptied state alive.
+    start = None
+    start_live = 0
+    for i in range(n):
+        live |= wake_at[i]
         if not live:
             continue
-        for k, length in longest_at(text, i, live):
+        if live != start_live:
+            start = start_of(live)
+            start_live = live
+        state = start.next.get(text[i])
+        if not state:  # None: not computed yet; False: no match starts here
+            if state is None:
+                state = step(start, text[i])
+                start = None
+                start_live = 0
+            if not state:
+                continue
+        # Walk on from i + 1.  ``accepts`` are the matchers accepting at
+        # ``end``, the latest accepting offset; ``earlier`` keeps the
+        # (accepts, end) of earlier stretches, when they differ.
+        accepts = state.accepts
+        end = j = i + 1
+        earlier = None
+        memo_from = i + _MEMO_AFTER
+        while j < n:
+            if j >= memo_from:
+                key = state.id * stride + j
+                if key in failed:
+                    break  # nothing beyond j accepts
+                passed.append(key)
+            nxt = state.next.get(text[j])
+            if not nxt:
+                if nxt is None:
+                    nxt = step(state, text[j])
+                    start = None
+                    start_live = 0
+                if not nxt:
+                    break
+            state = nxt
+            j += 1
+            if state.accepts:
+                if passed:
+                    passed.clear()
+                if state.accepts != accepts:
+                    if accepts:
+                        if earlier is None:
+                            earlier = []
+                        earlier.append((accepts, end))
+                    accepts = state.accepts
+                end = j
+        if passed:
+            failed.update(passed)
+            passed.clear()
+        if not accepts:
+            continue
+        if earlier is not None:  # each matcher ends where it accepted last
+            ends = dict.fromkeys(accepts, end)
+            for earlier_accepts, earlier_end in reversed(earlier):
+                for k in earlier_accepts:
+                    ends.setdefault(k, earlier_end)
+            accepts = sorted(ends)
+        for k in accepts:
             if marks[k] >= i:
                 continue  # dragged past i by a match of higher precedence
-            end = i + length - 1
-            new_mark = end
+            last = (end if earlier is None else ends[k]) - 1
+            new_mark = last
             if live != all_live:  # else no watermark is at or past i
                 for mark in marks:
                     if i <= mark < new_mark:
@@ -94,14 +181,20 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
             marks[k] = new_mark
             # Dragging the lower-precedence suffix to new_mark >= i also
             # keeps it from matching at i.
-            j = lower[k]
-            marks[j:] = [new_mark] * (m - j)
-            live &= ~moved[k]
+            lo = lower[k]
+            if lo < m:
+                waiting = dragged[k] & ~live  # already past i: their wake moves to new_mark + 1
+                while waiting:
+                    bit = waiting & -waiting
+                    wake_at[marks[bit.bit_length() - 1] + 1] &= ~bit
+                    waiting ^= bit
+                marks[lo:] = [new_mark] * (m - lo)
+            live &= kept[k]
             wake_at[new_mark + 1] |= moved[k]
             if priorities[k] >= 1:
-                tokens.append(Token(len(tokens), names[k], text[i:end + 1], i, end))
+                tokens.append(new_token(Token, (len(tokens), names[k], text[i:last + 1], i, last)))
             else:
-                ignored.append((i, end))
+                ignored.append((i, last))
                 if priorities[k] == 0:
                     break  # an ignored match suppresses everything else here
     return ScanResult(tuple(tokens), len(text), tuple(ignored))

@@ -102,6 +102,22 @@ def longest_by_re(source: str, text: str, pos: int) -> int | None:
     return best
 
 
+def walk_longest(automaton, text: str, pos: int, live: int) -> list[tuple[int, int]]:
+    """``(k, length)`` of the longest match at ``pos`` of each matcher ``k`` in
+    ``live``, ascending in ``k``: steps ``automaton`` from its start state one
+    character at a time, through `Automaton.step` alone, and keeps each
+    matcher's last accepting offset."""
+    state = automaton.start(live)
+    ends = {}
+    for i in range(pos, len(text)):
+        state = automaton.step(state, text[i])
+        if not state:
+            break
+        for k in state.accepts:
+            ends[k] = i + 1
+    return sorted((k, end - pos) for k, end in ends.items())
+
+
 # --- random generators -------------------------------------------------------
 
 INPUT_ALPHABET = "ab01x&/+-. \t"

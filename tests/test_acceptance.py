@@ -230,6 +230,29 @@ def test_criterion_8_spec_load_growth():
             f"x{ratio:.2f} ({best[1000]:.4f}s -> {best[4000]:.4f}s)")
 
 
+_UNFINISHED_RUN = 1_200  # a×n at n and 4n: 1 s or more when the scan is quadratic here, ms when linear
+
+
+def test_criterion_8_scan_is_linear_on_walks_that_find_no_match():
+    # From every offset of a×n, /a*b/ reads on to the end of the text and
+    # never matches; the failure memo stops each walk after a few characters.
+    spec = parse_lex_spec("token A 1 /a*b/\ntoken B 2 /a/\n")
+    texts = {n: "a" * n for n in (_UNFINISHED_RUN, 4 * _UNFINISHED_RUN)}
+    best = dict.fromkeys(texts, math.inf)
+    # As in criterion 10: the collector off, and the sizes alternating.
+    gc.disable()
+    try:
+        for _ in range(5):
+            for n, text in texts.items():
+                best[n] = min(best[n], _best_time(lambda: scan(spec, text), repeats=1, trials=1))
+    finally:
+        gc.enable()
+    small, large = best.values()
+    ratio = large / max(small, 1e-9)
+    _report(8, "a*b plus a on a×n: 4x the input grows the scan by at most 6.25x (2.5x per doubling)",
+            ratio <= 6.25, f"x{ratio:.2f} ({small:.4f}s -> {large:.4f}s)")
+
+
 def test_criterion_10_packed_ambiguity():
     spec = parse_lex_spec("token x 1 /x/\n")
     grammar = parse_grammar("E ::= E E | x\n", spec)

@@ -186,13 +186,13 @@ def test_compile_builds_no_dfa_state():
     assert not hasattr(p, "_dfa")  # a pattern is its NFA alone
     automaton = pattern.union([p])
     assert automaton._dfa == {} and automaton._starts == {}
-    assert automaton.longest_at("1.5", 0, 1) == [(0, 3)]
+    assert support.walk_longest(automaton, "1.5", 0, 1) == [(0, 3)]
     assert automaton._dfa
 
 
 def _longest(automaton, text, pos):
     """The one matcher's longest match at ``pos``, as `match_longest_oracle` gives it."""
-    hit = automaton.longest_at(text, pos, 1)
+    hit = support.walk_longest(automaton, text, pos, 1)
     return hit[0][1] if hit else None
 
 
@@ -265,7 +265,7 @@ def test_union_walk_gives_every_live_matchers_longest_match(monkeypatch, cache_l
                 length = oracles.match_longest_oracle(p, text, pos)
                 if live >> k & 1 and length is not None:
                     expected.append((k, length))
-            assert list(automaton.longest_at(text, pos, live)) == expected, (
+            assert support.walk_longest(automaton, text, pos, live) == expected, (
                 [p.source for p in patterns], text, pos, live,
             )
         assert len(automaton._dfa) <= cache_limit
@@ -312,7 +312,7 @@ def test_union_agrees_with_nfa_on_character_class_boundaries(monkeypatch, cache_
             expected = [(k, length) for k, p in enumerate(patterns)
                         if live >> k & 1
                         and (length := oracles.match_longest_oracle(p, text, pos)) is not None]
-            assert list(automaton.longest_at(text, pos, live)) == expected, (sources, text, pos, live)
+            assert support.walk_longest(automaton, text, pos, live) == expected, (sources, text, pos, live)
 
 
 def test_transitions_are_computed_once_per_character_class(monkeypatch):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import groupby
 from unittest import mock
 
@@ -248,6 +250,81 @@ def test_automaton_stays_bounded_on_many_distinct_characters():
     automaton = spec.automaton
     assert len(automaton._dfa) <= pattern._DFA_CACHE_LIMIT
     assert sum(len(s.next) for s in automaton._dfa.values()) <= pattern._DFA_TRANSITION_LIMIT
+
+
+def test_one_long_scan_keeps_the_dfa_bounded_across_flushes(monkeypatch):
+    # The DFA of (a|b)*a(a|b){12} has 2**13 states, so with a small cache a
+    # scan of random a/b text empties the cache many times.  The spaces end
+    # the walks, so that many walks start after a flush.
+    limit = 32
+    monkeypatch.setattr(pattern, "_DFA_CACHE_LIMIT", limit)
+    flushes = 0
+    alive = []  # live DFA states, counted at each flush
+    stale_reads = []  # (state made after flush g, read after flush f) with g < f - 1
+    made = weakref.WeakSet()
+
+    class WatchedNext(dict):
+        """A state's transitions, recording each read of a state made before the flush before last."""
+
+        def __init__(self, made_after):
+            super().__init__()
+            self.made_after = made_after
+
+        def get(self, ch, default=None):
+            if self.made_after < flushes - 1:
+                stale_reads.append((self.made_after, flushes))
+            return super().get(ch, default)
+
+    class WatchedState(pattern._DState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.next = WatchedNext(flushes)
+            made.add(self)
+
+    clear = pattern.Automaton._clear
+
+    def watched_clear(self):
+        nonlocal flushes
+        clear(self)
+        flushes += 1
+        gc.collect()
+        alive.append(len(made))
+
+    monkeypatch.setattr(pattern, "_DState", WatchedState)
+    monkeypatch.setattr(pattern.Automaton, "_clear", watched_clear)
+    spec = parse_lex_spec("token A 1 /(a|b)*a" + "(a|b)" * 12 + "/\n")
+    rng = random.Random(41)
+    text = " ".join("".join(rng.choice("ab") for _ in range(rng.randint(20, 300))) for _ in range(30))
+    assert scan(spec, text) == scan_oracle(spec, text)
+    assert flushes >= 50
+    # Past a flush only the walk in progress holds states of the emptied
+    # cache, and there were at most `limit` of them.
+    assert max(alive) <= limit, alive
+    # Each walk after a flush starts from a fresh start state, and the walk
+    # in progress leaves the old states at its next step; so no state made
+    # before the flush before last is read again.
+    assert not stale_reads, stale_reads[:5]
+
+
+@pytest.mark.parametrize("cache_limit", [pattern._DFA_CACHE_LIMIT, 2])
+def test_scan_matches_oracle_where_long_walks_find_no_match(cache_limit):
+    # Specs whose walks run on through long stretches that complete no match,
+    # so that the failure memo stops many of them: a*b on a×n, (ab)*c on
+    # (ab)×n, [a-z]*; on words, with the terminators late or missing.  From
+    # a run of a, (aa)*b fails from every other offset only, so the memo must
+    # tell the DFA states at an offset apart.
+    rng = random.Random(20261019)
+    stretches = ("a" * 40, "a" * 39, "ab" * 20, "abcab", "b", "c", ";", " ", "xyz" * 9, "ba")
+    for _ in range(40):
+        sources = rng.sample(["a*b", "(ab)*c", "[a-z]*;", "(aa)*b", "a", "ab", "[a-z]", "b|ba"],
+                             rng.randint(2, 5))
+        lines = [f"token T{j} {rng.randint(1, 3)} /{source}/" for j, source in enumerate(sources)]
+        if rng.random() < 0.5:
+            lines.insert(rng.randint(0, len(lines)), "ignore / +/")
+        spec = parse_lex_spec("\n".join(lines) + "\n")
+        text = "".join(rng.choice(stretches) for _ in range(rng.randint(1, 8))) + "a" * rng.randint(0, 30)
+        with mock.patch.object(pattern, "_DFA_CACHE_LIMIT", cache_limit):
+            assert scan(spec, text) == scan_oracle(spec, text), (lines, text)
 
 
 def test_automaton_is_built_by_the_first_scan_and_kept():
