@@ -121,6 +121,9 @@ def run(argv: list[str]) -> int:
     if args.command == "sequences" and args.limit < 1:
         print("lamb: error: --limit must be >= 1", file=sys.stderr)
         return 1
+    if [args.spec, args.input, getattr(args, "grammar", None)].count("-") > 1:
+        print("lamb: error: only one of --spec, --grammar and --input can be - (stdin)", file=sys.stderr)
+        return 1
 
     try:
         spec_text = _read(args.spec)

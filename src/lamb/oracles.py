@@ -24,11 +24,7 @@ __all__ = ["GraphEdges", "build_graph_oracle", "match_longest_oracle", "scan_ora
 
 
 def _label_matches(label: tuple, ch: str) -> bool:
-    if label[0] == "ch":
-        return ch == label[1]
-    if label[0] == "any":
-        return ch != "\n"
-    _, ranges, negated = label
+    ranges, negated = label
     return any(lo <= ch <= hi for lo, hi in ranges) != negated
 
 

@@ -7,13 +7,16 @@ negation; grouping ``(...)``; alternation ``|``; the repetitions ``*`` ``+``
 backreferences, no counted repetition.
 
 A pattern compiles to a small Thompson-style NFA, and `Pattern` is that NFA
-alone.  `union` puts one or more patterns, the matchers, into one
+alone.  Its edge labels have one shape, ``(ranges, negated)``: a literal
+``c`` is ``(((c, c),), False)``, a class keeps its ranges as written, and
+``.`` is `_ANY`.  `union` puts one or more patterns, the matchers, into one
 `Automaton`: their NFA states share one numbering, and each DFA state records
-which matchers accept in it.  A walk from a position takes the `start` state
-of the matchers it names and moves one character at a time, by the state's
-``next`` dict or, on a miss, by `step`; the offsets where a matcher accepts
-give its longest match.  One walk so serves every matcher it names, which is
-how the scanner, walking the states itself, tries a whole spec at once.
+which matchers accept in it.  A walk from a position takes the start state
+``start[live]`` of the matchers it names and moves one character at a time,
+by the state's ``next`` dict or, on a miss, by `step`; the offsets where a
+matcher accepts give its longest match.  One walk so serves every matcher it
+names, which is how the scanner, walking the states itself, tries a whole
+spec at once.
 
 The automaton's DFA is built lazily by subset construction (Thompson, 1968;
 Cox, "Regular Expression Matching Can Be Simple And Fast", 2007): a DFA state
@@ -30,10 +33,10 @@ one dict lookup per character once the states it visits exist, and never
 more than one subset step per character, so it stays linear in the
 remaining input regardless of the pattern.  Each automaton keeps at most
 ``_DFA_CACHE_LIMIT`` states and ``_DFA_TRANSITION_LIMIT`` per-character
-transitions; past either its cache is emptied and rebuilt on demand, so
-memory stays bounded on patterns whose full DFA is exponential and on inputs
-of many distinct characters, even for an automaton that lives as long as the
-process.
+transitions; past either it empties its cache, which only it decides, and
+rebuilds on demand, so memory stays bounded on patterns whose full DFA is
+exponential and on inputs of many distinct characters, even for an automaton
+that lives as long as the process.
 
 Matching is anchored at the query position, every alternation branch
 competes, and the longest hit wins.  Zero-length matches are never reported.
@@ -51,6 +54,8 @@ _ESCAPES = {
     "n": "\n", "t": "\t",
 }
 
+_ANY = ((("\n", "\n"),), True)  # the label of ``.``
+
 
 class PatternError(ValueError):
     """Raised when a pattern source does not conform to the supported subset."""
@@ -62,16 +67,12 @@ class PatternError(ValueError):
 
 
 def _label_matches(label: tuple, ch: str) -> bool:
-    kind = label[0]
-    if kind == "ch":
-        return ch == label[1]
-    if kind == "any":
-        return ch != "\n"
-    # ("set", ranges, negated)
-    for lo, hi in label[1]:
+    """Whether ``ch`` lies in one of the label's ranges, or in none if it is negated."""
+    ranges, negated = label
+    for lo, hi in ranges:
         if lo <= ch <= hi:
-            return not label[2]
-    return label[2]
+            return not negated
+    return negated
 
 
 _MAX_CHAR = chr(0x10FFFF)
@@ -87,14 +88,8 @@ def _class_bounds(edges) -> list[str]:
     """
     bounds = set()
     for out in edges:
-        for label, _ in out:
-            if label[0] == "ch":
-                pairs = ((label[1], label[1]),)
-            elif label[0] == "any":
-                pairs = (("\n", "\n"),)
-            else:
-                pairs = label[1]
-            for lo, hi in pairs:
+        for (ranges, _), _ in out:
+            for lo, hi in ranges:
                 bounds.add(lo)
                 if hi < _MAX_CHAR:
                     bounds.add(chr(ord(hi) + 1))
@@ -122,24 +117,38 @@ class _DState:
         self.by_class: dict[int, _DState | bool] = {}
 
 
+class _Starts(dict):
+    """An automaton's start state of each ``live`` seen so far, made on first
+    lookup: the ε-closure of the NFA start states of the matchers in ``live``."""
+
+    __slots__ = ("automaton",)
+
+    def __missing__(self, live: int) -> _DState:
+        a = self.automaton
+        state = self[live] = a._intern(a._closure([s for k, s in enumerate(a._heads) if live >> k & 1]))
+        return state
+
+
 class Automaton:
     """A DFA built lazily over the Thompson NFAs of one or more matchers; `union` builds it.
 
     A walk names the matchers it wants by a bitmask, ``live`` (bit ``k`` for
-    matcher ``k``), takes their `start` state, and moves on one character at
-    a time: ``state.next.get(ch)``, or `step` where that is not known yet.
-    ``state.accepts`` lists the matchers whose match ends where the walk
-    stands; the walk is over when the next state is False.
+    matcher ``k``), takes their start state ``start[live]``, and moves on one
+    character at a time: ``state.next.get(ch)``, or `step` where that is not
+    known yet.  ``state.accepts`` lists the matchers whose match ends where
+    the walk stands; the walk is over when the next state is False.
 
-    ``_starts`` keeps the start state of each ``live`` and ``_dfa`` maps each
+    ``start`` keeps the start state of each ``live`` and ``_dfa`` maps each
     NFA state set to its DFA state.  Both are caches that only gain states
     equal by content to ones they could have built, or are emptied together
     past ``_DFA_CACHE_LIMIT`` states or ``_DFA_TRANSITION_LIMIT`` transitions
     (``_transitions`` counts those added since the last emptying), so answers
-    never depend on earlier walks.
+    never depend on earlier walks.  The automaton alone decides when to empty
+    them: a walk that looks its start state up in ``start`` each time, and
+    holds no state but the one it stands on, keeps no emptied state alive.
     """
 
-    __slots__ = ("_edges", "_eps", "_heads", "_accepting", "_dfa", "_starts",
+    __slots__ = ("_edges", "_eps", "_heads", "_accepting", "_dfa", "start",
                  "_transitions", "_bounds", "_made")
 
     def __init__(self, edges, eps, heads, accepting):
@@ -148,26 +157,18 @@ class Automaton:
         self._heads = heads  # the NFA start state of each matcher
         self._accepting = accepting  # NFA accept state -> its matcher
         self._dfa: dict[frozenset[int], _DState] = {}
-        self._starts: dict[int, _DState] = {}
+        self.start = _Starts()
+        self.start.automaton = self
         self._transitions = 0
         self._bounds = _class_bounds(edges)
         self._made = 0  # DFA states made, the next state's id
-
-    def start(self, live: int) -> _DState:
-        """The start state of the matchers in ``live``: the ε-closure of their NFA start states."""
-        state = self._starts.get(live)
-        if state is None:
-            heads = [s for k, s in enumerate(self._heads) if live >> k & 1]
-            state = self._starts[live] = self._intern(self._closure(heads))
-        return state
 
     def step(self, state: _DState, ch: str) -> _DState | bool:
         """The state ``state`` moves to on ``ch``; False when no NFA state is left.
 
         The answer is computed once per character class and kept in
         ``state.next``, so a walk reads ``state.next.get(ch)`` first and calls
-        this only on a miss.  A call may empty the cache: after it, `start`
-        must be asked again rather than a start state kept from before.
+        this only on a miss.
         """
         nxt = state.next.get(ch)
         if nxt is not None:
@@ -208,7 +209,7 @@ class Automaton:
     def _clear(self) -> None:
         # Old states stay reachable only from a walk still running.
         self._dfa.clear()
-        self._starts.clear()
+        self.start.clear()
         self._transitions = 0
 
     def _subset_step(self, state: _DState, ch: str) -> _DState | bool:
@@ -241,7 +242,7 @@ class Pattern:
         if not 0 <= pos <= n:
             raise ValueError(f"position {pos} outside input of length {n}")
         automaton = union([self])
-        state = automaton.start(1)
+        state = automaton.start[1]
         longest = None
         for i in range(pos, n):
             state = automaton.step(state, text[i])
@@ -386,11 +387,9 @@ class _Compiler:
             self.fail("nothing to repeat")
         if ch == ".":
             self.take()
-            return self.edge(("any",))
-        if ch == "\\":
-            return self.edge(("ch", self.escape()))
-        self.take()
-        return self.edge(("ch", ch))
+            return self.edge(_ANY)
+        ch = self.escape() if ch == "\\" else self.take()
+        return self.edge((((ch, ch),), False))
 
     def escape(self) -> str:
         at = self.pos
@@ -434,7 +433,7 @@ class _Compiler:
                 ranges.append((lo, hi))
             else:
                 ranges.append((lo, lo))
-        return self.edge(("set", tuple(ranges), negated))
+        return self.edge((tuple(ranges), negated))
 
     def class_char(self) -> str:
         if self.peek() == "\\":

@@ -34,9 +34,10 @@ most once between them; before it, a walk reads no further than its longest
 match.  The scan of ``a``×n under ``/a*b/`` plus ``/a/`` is so linear.  Walks
 check and record pairs only from ``_MEMO_AFTER`` characters on, since most
 walks end sooner and then pay nothing for the memo.  The memo keys a state by
-its ``id``, never by the state itself, and the scan lets go of the start
-state it holds whenever a step may have emptied the automaton's cache, so a
-scan keeps no emptied state alive.
+its ``id``, never by the state itself, and each position reads its start
+state afresh from the automaton's ``start`` cache, holding none across a
+step; so the automaton alone decides when its cache is emptied, and a scan
+keeps no emptied state alive.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     """
     defs = spec.by_precedence  # matcher k is defs[k], in precedence order
     automaton = spec.automaton
-    start_of, step = automaton.start, automaton.step
+    starts, step = automaton.start, automaton.step
     # Per matcher: priority (0 = ignored), token name, watermark, and where
     # its suffix of strictly lower precedence starts.
     priorities = [d.priority for d in defs]
@@ -106,25 +107,18 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     failed: set[int] = set()
     passed: list[int] = []  # such pairs of the current walk since its last accept
     stride = n + 1
-    # The start state of start_live, let go of whenever a step may have
-    # emptied the DFA cache, so that it keeps no emptied state alive.
-    start = None
-    start_live = 0
     for i in range(n):
         live |= wake_at[i]
         if not live:
             continue
-        if live != start_live:
-            start = start_of(live)
-            start_live = live
-        state = start.next.get(text[i])
-        if not state:  # None: not computed yet; False: no match starts here
-            if state is None:
-                state = step(start, text[i])
-                start = None
-                start_live = 0
-            if not state:
+        state = starts[live]
+        nxt = state.next.get(text[i])
+        if not nxt:  # None: not computed yet; False: no match starts here
+            if nxt is None:
+                nxt = step(state, text[i])
+            if not nxt:
                 continue
+        state = nxt  # the walk holds no start state
         # Walk on from i + 1.  ``accepts`` are the matchers accepting at
         # ``end``, the latest accepting offset; ``earlier`` keeps the
         # (accepts, end) of earlier stretches, when they differ.
@@ -142,8 +136,6 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
             if not nxt:
                 if nxt is None:
                     nxt = step(state, text[j])
-                    start = None
-                    start_live = 0
                 if not nxt:
                     break
             state = nxt
@@ -191,12 +183,11 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                 marks[lo:] = [new_mark] * (m - lo)
             live &= kept[k]
             wake_at[new_mark + 1] |= moved[k]
-            if priorities[k] >= 1:
+            if priorities[k]:
                 tokens.append(new_token(Token, (len(tokens), names[k], text[i:last + 1], i, last)))
             else:
                 ignored.append((i, last))
-                if priorities[k] == 0:
-                    break  # an ignored match suppresses everything else here
+                break  # an ignored match suppresses everything else here
     return ScanResult(tuple(tokens), len(text), tuple(ignored))
 
 

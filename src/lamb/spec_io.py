@@ -30,7 +30,7 @@ tokens, a missing start rule or a unit cycle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import pattern
 
@@ -92,6 +92,13 @@ class _cached:
         return value
 
 
+def _fields_only(self) -> dict:
+    """The dataclass fields alone, for pickle and `copy`.  A value kept by
+    `_cached` can nest deeper than a copy may recurse (a scanned spec's DFA
+    states, a long rule's item chain); a copy builds its own on first use."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @_cached
 def _compiled(d) -> pattern.Pattern:
     """``d.pattern_source`` compiled on first use and kept on ``d``.
@@ -138,6 +145,8 @@ class LexSpec:
         ``by_precedence[k]``.  Built on first use, which is the first `scan`."""
         return pattern.union([d.compiled for d in self.by_precedence])
 
+    __getstate__ = _fields_only
+
 
 @dataclass(frozen=True)
 class GrammarRule:
@@ -178,11 +187,7 @@ class Grammar:
             chains.setdefault(rule.rhs[0], []).append((item, ()))
         return chains
 
-    def __getstate__(self):
-        """The fields alone, for pickle and `copy`: a chain nests as deep as
-        its rule is long, so copying it would recurse that deep.  A copy
-        builds its own chains on first use."""
-        return {k: v for k, v in vars(self).items() if k != "item_chains"}
+    __getstate__ = _fields_only
 
 
 def _lines(text: str) -> list[str]:

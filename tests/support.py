@@ -107,7 +107,7 @@ def walk_longest(automaton, text: str, pos: int, live: int) -> list[tuple[int, i
     ``live``, ascending in ``k``: steps ``automaton`` from its start state one
     character at a time, through `Automaton.step` alone, and keeps each
     matcher's last accepting offset."""
-    state = automaton.start(live)
+    state = automaton.start[live]
     ends = {}
     for i in range(pos, len(text)):
         state = automaton.step(state, text[i])

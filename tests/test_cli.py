@@ -223,6 +223,23 @@ def test_stdin_that_is_not_utf8_is_an_error(files, capsys, monkeypatch):
     assert err == "lamb: error: -: not valid UTF-8 at byte 2\n"
 
 
+@pytest.mark.parametrize("stdin_flags", [("--spec", "--input"), ("--spec", "--grammar"),
+                                         ("--grammar", "--input"), ("--spec", "--grammar", "--input")])
+def test_stdin_for_more_than_one_file_is_an_error(files, capsys, monkeypatch, stdin_flags):
+    stdin = io.BytesIO(support.numbers_spec_text().encode())
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
+    paths = {flag: "-" if flag in stdin_flags else files[flag[2:]] for flag in ("--spec", "--grammar", "--input")}
+    command = "parse" if "--grammar" in stdin_flags else "scan"
+    if command == "scan":
+        del paths["--grammar"]
+    code = run([command, *(arg for pair in paths.items() for arg in pair)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "lamb: error: only one of --spec, --grammar and --input can be - (stdin)\n"
+    assert stdin.tell() == 0  # nothing was read
+
+
 def test_unconsumed_input_warning(files, capsys):
     weird = files["dir"] / "weird.txt"
     weird.write_text("&z5", encoding="utf-8")

@@ -185,7 +185,7 @@ def test_compile_builds_no_dfa_state():
     p = compile_pattern(r"(-|\+)?[0-9]+\.[0-9]+")
     assert not hasattr(p, "_dfa")  # a pattern is its NFA alone
     automaton = pattern.union([p])
-    assert automaton._dfa == {} and automaton._starts == {}
+    assert automaton._dfa == {} and automaton.start == {}
     assert support.walk_longest(automaton, "1.5", 0, 1) == [(0, 3)]
     assert automaton._dfa
 
@@ -243,7 +243,7 @@ def test_dfa_cache_is_bounded_and_answers_survive_flushes():
     for pos in (0, 1, 2, 5000, 11980):
         assert _longest(automaton, text, pos) == oracles.match_longest_oracle(p, text, pos), pos
         # After a flush the next query starts from a fresh state, never an old one.
-        assert all(automaton._dfa.get(start.nfa) is start for start in automaton._starts.values())
+        assert all(automaton._dfa.get(start.nfa) is start for start in automaton.start.values())
     assert cache.clears >= 1
     assert cache.largest == pattern._DFA_CACHE_LIMIT
 
@@ -282,13 +282,7 @@ def _boundary_characters(patterns) -> list[str]:
     chars = {"\n", "\x0b", "\U0010ffff", "\U00010000", "\U0001f600"}
     for p in patterns:
         for out in p._edges:
-            for label, _ in out:
-                if label[0] == "set":
-                    ranges = label[1]
-                elif label[0] == "ch":
-                    ranges = ((label[1], label[1]),)
-                else:
-                    ranges = ()
+            for (ranges, _), _ in out:
                 for lo, hi in ranges:
                     for c in (ord(lo) - 1, ord(lo), ord(hi), ord(hi) + 1):
                         if 0 <= c <= 0x10FFFF:

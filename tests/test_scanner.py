@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from lamb import parse_lex_spec, pattern, scan, scan_oracle, uncovered_spans
+from lamb import IgnoreDef, LexSpec, TokenDef, parse_lex_spec, pattern, scan, scan_oracle, uncovered_spans
 from lamb.scanner import ScanResult, Token, render_tokens_text
 
 # (id, type, text, start, end) for "&5.2& /25.20/" under shared priorities.
@@ -239,6 +239,22 @@ def test_scan_matches_oracle_on_generated_specs(case, cache_limit):
     with mock.patch.object(pattern, "_DFA_CACHE_LIMIT", cache_limit):
         assert scan(spec, text) == scan_oracle(spec, text)
     assert len(spec.automaton._dfa) <= cache_limit
+
+
+def test_scan_matches_oracle_on_unvalidated_priorities():
+    # Built without validation, a token may have priority 0, which makes it
+    # ignored, or -1, which keeps it a token that goes before ignore patterns.
+    spec = LexSpec((TokenDef("A", -1, "a", 0),), (IgnoreDef("[a ]+", 1),))
+    assert _tuples(scan(spec, "ab a")) == [(0, "A", "a", 0, 0), (1, "A", "a", 3, 3)]
+    rng = random.Random(20261019)
+    for _ in range(300):
+        sources = [rng.choice(_OVERLAPPING_PATTERNS) if rng.random() < 0.5 else support.random_pattern(rng)
+                   for _ in range(rng.randint(1, 5))]
+        token_defs = [TokenDef(f"T{j}", rng.choice((-1, 0, 1, 2)), source, j) for j, source in enumerate(sources)]
+        ignore_defs = [IgnoreDef(rng.choice(support._IGNORE_POOL), len(sources))] if rng.random() < 0.5 else []
+        spec = LexSpec(tuple(token_defs), tuple(ignore_defs))
+        text = support.random_input(rng, max_length=40)
+        assert scan(spec, text) == scan_oracle(spec, text), (spec, text)
 
 
 def test_automaton_stays_bounded_on_many_distinct_characters():

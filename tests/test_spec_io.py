@@ -1,4 +1,6 @@
+import copy
 import inspect
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,18 @@ def test_each_pattern_compiles_once_per_spec(monkeypatch):
     for _ in range(3):
         scan(hand_built, "xx")
     assert calls[6:] == ["x"]
+
+
+def test_scanned_spec_pickles_and_copies():
+    # A scan of 3,000 a's builds a chain of 3,000 DFA states, which the spec
+    # keeps with its automaton; copies leave the automaton out.
+    spec = parse_lex_spec("token A 1 /" + "a" * 3000 + "/\n")
+    text = "a" * 3000
+    scanned = scan(spec, text)
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
+        assert copied == spec and "automaton" not in vars(copied)
+        assert scan(copied, text) == scanned
+    assert "automaton" in vars(spec)
 
 
 def _unit_chain(length: int, last: str) -> str:
