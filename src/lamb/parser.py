@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial
 from itertools import chain, repeat
+from json.encoder import encode_basestring as _json_string
 from math import prod
 from typing import NamedTuple
 
@@ -189,7 +190,8 @@ def render_trees(f: ParseForest) -> str:
 
     Roots come in id order.  A tree picks one alternative at each nonterminal
     it prints; the trees of one root come in lexicographic order of their
-    picks, taken in print order, so the first nonterminal varies slowest.
+    picks, taken in print order, so the first nonterminal varies slowest.  A
+    token's text is written as a JSON string, so one node is one line.
     """
     nodes = f.instances
     blocks = []
@@ -207,7 +209,7 @@ def render_trees(f: ParseForest) -> str:
                 _, type_name, start, end, alternatives, text = nodes[nid]
                 pad = "  " * depth
                 if not alternatives:
-                    lines.append(f'{pad}{type_name} "{text}" [{start}-{end}]')
+                    lines.append(f"{pad}{type_name} {_json_string(text)} [{start}-{end}]")
                     continue
                 picks.append((nid, depth, k, todo, len(lines)))
                 lines.append(f"{pad}{type_name} [{start}-{end}]")

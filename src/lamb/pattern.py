@@ -12,11 +12,11 @@ alone.  Its edge labels have one shape, ``(ranges, negated)``: a literal
 ``.`` is `_ANY`.  `union` puts one or more patterns, the matchers, into one
 `Automaton`: their NFA states share one numbering, and each DFA state records
 which matchers accept in it.  A walk from a position takes the start state
-``start[live]`` of the matchers it names and moves one character at a time,
-by the state's ``next`` dict or, on a miss, by `step`; the offsets where a
-matcher accepts give its longest match.  One walk so serves every matcher it
-names, which is how the scanner, walking the states itself, tries a whole
-spec at once.
+``start[live]`` of the matchers it names and moves one character class at a
+time, reading the text's classes from `Automaton.classes`, by the state's
+``next`` dict or, on a miss, by `step`; the offsets where a matcher accepts
+give its longest match.  One walk so serves every matcher it names, which is
+how the scanner, walking the states itself, tries a whole spec at once.
 
 The automaton's DFA is built lazily by subset construction (Thompson, 1968;
 Cox, "Regular Expression Matching Can Be Simple And Fast", 2007): a DFA state
@@ -24,19 +24,20 @@ is the set of NFA states reachable so far, ε-closure included, and its
 transitions are computed the first time they are needed, then kept.  The
 ε-closure is found when a DFA state is made, by one search over ε-edges, so
 no closure is kept per NFA state and building an automaton stays linear in
-the patterns' size.  A transition is computed once per character class, as
-in RE2's DFA (Cox, "Regular Expression Matching in the Wild", 2010): the code
-points at which some edge label of the NFA starts or stops holding cut the
-alphabet into classes, two characters of one class satisfy the same labels,
-and so every state moves to the same state on both.  A walk therefore costs
-one dict lookup per character once the states it visits exist, and never
-more than one subset step per character, so it stays linear in the
-remaining input regardless of the pattern.  Each automaton keeps at most
-``_DFA_CACHE_LIMIT`` states and ``_DFA_TRANSITION_LIMIT`` per-character
-transitions; past either it empties its cache, which only it decides, and
-rebuilds on demand, so memory stays bounded on patterns whose full DFA is
-exponential and on inputs of many distinct characters, even for an automaton
-that lives as long as the process.
+the patterns' size.  Transitions are keyed by character class, as in RE2's
+DFA (Cox, "Regular Expression Matching in the Wild", 2010): the code points
+at which some edge label of the NFA starts or stops holding cut the alphabet
+into classes, two characters of one class satisfy the same labels, and so
+every state moves to the same state on both.  A walk maps its text to
+classes by one ``str.translate``, then costs one dict lookup per character
+once the states it visits exist, and never more than one subset step per
+character, so it stays linear in the remaining input regardless of the
+pattern.  A state holds at most one transition per class, and the patterns
+fix the classes, so one bound suffices: each automaton keeps at most
+``_DFA_CACHE_LIMIT`` states, past which it empties its cache, which only it
+decides, and rebuilds on demand.  Memory so stays bounded on patterns whose
+full DFA is exponential and on inputs of many distinct characters, even for
+an automaton that lives as long as the process.
 
 Matching is anchored at the query position, every alternation branch
 competes, and the longest hit wins.  Zero-length matches are never reported.
@@ -77,16 +78,14 @@ def _label_matches(label: tuple, ch: str) -> bool:
 
 _MAX_CHAR = chr(0x10FFFF)
 _DFA_CACHE_LIMIT = 4096  # DFA states kept per automaton before its cache is emptied
-_DFA_TRANSITION_LIMIT = 16384  # entries of the states' ``next`` dicts, likewise
 
 
 def _class_bounds(edges) -> list[str]:
-    """The sorted code points at which some edge label starts or stops holding.
-
-    A character's class is ``bisect_right(bounds, ch)``: the characters from
-    one bound up to the next satisfy exactly the same labels.
-    """
-    bounds = set()
+    """The sorted code points at which some edge label starts or stops holding,
+    and ``"\\0"``: class ``k`` holds the characters from ``bounds[k - 1]`` up
+    to the next bound, so every character's class is at least 1, and the
+    characters of one class satisfy exactly the same labels."""
+    bounds = {"\0"}
     for out in edges:
         for (ranges, _), _ in out:
             for lo, hi in ranges:
@@ -99,22 +98,20 @@ def _class_bounds(edges) -> list[str]:
 class _DState:
     """One DFA state: a set of NFA states and its transitions found so far.
 
-    A transition is computed once per character class, into ``by_class``;
-    ``next`` copies it for each character seen, so that a walk over known
-    states is one dict lookup per character.  ``id`` numbers the states of
-    one automaton in the order they were made, never reusing a number, so a
-    caller can key what it learns of a state by ``id`` without keeping the
-    state alive past a flush of the cache.
+    ``next`` maps a character class, as `Automaton.classes` writes it, to the
+    state this one moves to on the characters of that class.  ``id`` numbers
+    the states of one automaton in the order they were made, never reusing a
+    number, so a caller can key what it learns of a state by ``id`` without
+    keeping the state alive past a flush of the cache.
     """
 
-    __slots__ = ("nfa", "accepts", "next", "by_class", "id")
+    __slots__ = ("nfa", "accepts", "next", "id")
 
     def __init__(self, nfa: frozenset[int], accepts: tuple[int, ...], id: int):
         self.id = id
         self.nfa = nfa
         self.accepts = accepts  # matchers whose accept state is in ``nfa``, ascending
         self.next: dict[str, _DState | bool] = {}  # False: the empty set, no match beyond
-        self.by_class: dict[int, _DState | bool] = {}
 
 
 class _Starts(dict):
@@ -134,22 +131,21 @@ class Automaton:
 
     A walk names the matchers it wants by a bitmask, ``live`` (bit ``k`` for
     matcher ``k``), takes their start state ``start[live]``, and moves on one
-    character at a time: ``state.next.get(ch)``, or `step` where that is not
-    known yet.  ``state.accepts`` lists the matchers whose match ends where
-    the walk stands; the walk is over when the next state is False.
+    character at a time, by its class ``c`` in `classes` of the text:
+    ``state.next.get(c)``, or `step` where that is not known yet.
+    ``state.accepts`` lists the matchers whose match ends where the walk
+    stands; the walk is over when the next state is False.
 
     ``start`` keeps the start state of each ``live`` and ``_dfa`` maps each
     NFA state set to its DFA state.  Both are caches that only gain states
     equal by content to ones they could have built, or are emptied together
-    past ``_DFA_CACHE_LIMIT`` states or ``_DFA_TRANSITION_LIMIT`` transitions
-    (``_transitions`` counts those added since the last emptying), so answers
-    never depend on earlier walks.  The automaton alone decides when to empty
-    them: a walk that looks its start state up in ``start`` each time, and
-    holds no state but the one it stands on, keeps no emptied state alive.
+    past ``_DFA_CACHE_LIMIT`` states, so answers never depend on earlier
+    walks.  The automaton alone decides when to empty them: a walk that looks
+    its start state up in ``start`` each time, and holds no state but the one
+    it stands on, keeps no emptied state alive.
     """
 
-    __slots__ = ("_edges", "_eps", "_heads", "_accepting", "_dfa", "start",
-                 "_transitions", "_bounds", "_made")
+    __slots__ = ("_edges", "_eps", "_heads", "_accepting", "_dfa", "start", "_bounds", "_made")
 
     def __init__(self, edges, eps, heads, accepting):
         self._edges = edges
@@ -159,28 +155,25 @@ class Automaton:
         self._dfa: dict[frozenset[int], _DState] = {}
         self.start = _Starts()
         self.start.automaton = self
-        self._transitions = 0
         self._bounds = _class_bounds(edges)
         self._made = 0  # DFA states made, the next state's id
 
-    def step(self, state: _DState, ch: str) -> _DState | bool:
-        """The state ``state`` moves to on ``ch``; False when no NFA state is left.
+    def classes(self, text: str) -> str:
+        """``text`` with each character replaced by its class, ``chr(k)`` for class ``k``."""
+        bounds = self._bounds
+        # A table of the text's own characters lives no longer than the call.
+        return text.translate({ord(ch): bisect_right(bounds, ch) for ch in set(text)})
 
-        The answer is computed once per character class and kept in
-        ``state.next``, so a walk reads ``state.next.get(ch)`` first and calls
-        this only on a miss.
+    def step(self, state: _DState, c: str) -> _DState | bool:
+        """The state ``state`` moves to on class ``c``; False when no NFA state is left.
+
+        The answer is computed once, on the class's first character, and kept
+        in ``state.next``, so a walk reads ``state.next.get(c)`` first and
+        calls this only on a miss.
         """
-        nxt = state.next.get(ch)
-        if nxt is not None:
-            return nxt
-        cls = bisect_right(self._bounds, ch)
-        nxt = state.by_class.get(cls)
+        nxt = state.next.get(c)
         if nxt is None:
-            nxt = state.by_class[cls] = self._subset_step(state, ch)
-        if self._transitions >= _DFA_TRANSITION_LIMIT:
-            self._clear()
-        state.next[ch] = nxt
-        self._transitions += 1
+            nxt = state.next[c] = self._subset_step(state, self._bounds[ord(c) - 1])
         return nxt
 
     def _closure(self, seeds: list[int]) -> frozenset[int]:
@@ -210,7 +203,6 @@ class Automaton:
         # Old states stay reachable only from a walk still running.
         self._dfa.clear()
         self.start.clear()
-        self._transitions = 0
 
     def _subset_step(self, state: _DState, ch: str) -> _DState | bool:
         """The DFA state for the NFA states that ``state`` reaches on ``ch``."""
@@ -244,12 +236,12 @@ class Pattern:
         automaton = union([self])
         state = automaton.start[1]
         longest = None
-        for i in range(pos, n):
-            state = automaton.step(state, text[i])
+        for length, c in enumerate(automaton.classes(text[pos:]), 1):
+            state = automaton.step(state, c)
             if not state:
                 break
             if state.accepts:
-                longest = i + 1 - pos
+                longest = length
         return longest
 
 

@@ -17,11 +17,11 @@ still letting genuinely overlapping alternatives coexist.
 The matching itself is one walk per position over the DFA states of the
 spec's automaton (`LexSpec.automaton`, built by the first scan), which `scan`
 steps through inline: from the start state of the matchers whose watermark
-lies below the position, one ``next`` lookup per character, and
-`Automaton.step` only where a transition is not known yet.  The walk notes
-which matchers accept at each offset, and so gives the longest match of each
-of them at once; the precedence and watermark rules above then run over
-those ends directly.
+lies below the position, one ``next`` lookup per character, keyed by its
+class in the text's `Automaton.classes`, and `Automaton.step` only where a
+transition is not known yet.  The walk notes which matchers accept at each
+offset, and so gives the longest match of each of them at once; the
+precedence and watermark rules above then run over those ends directly.
 
 Walks from every position would make the scan quadratic on text that keeps a
 walk alive without completing a match, such as ``a``×n under ``/a*b/``.  So
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_string
 from typing import NamedTuple
 
 from .spec_io import LexSpec
@@ -81,6 +82,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     defs = spec.by_precedence  # matcher k is defs[k], in precedence order
     automaton = spec.automaton
     starts, step = automaton.start, automaton.step
+    classes = automaton.classes(text)  # walks read classes; token texts slice ``text``
     # Per matcher: priority (0 = ignored), token name, watermark, and where
     # its suffix of strictly lower precedence starts.
     priorities = [d.priority for d in defs]
@@ -112,10 +114,10 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
         if not live:
             continue
         state = starts[live]
-        nxt = state.next.get(text[i])
+        nxt = state.next.get(classes[i])
         if not nxt:  # None: not computed yet; False: no match starts here
             if nxt is None:
-                nxt = step(state, text[i])
+                nxt = step(state, classes[i])
             if not nxt:
                 continue
         state = nxt  # the walk holds no start state
@@ -132,10 +134,10 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                 if key in failed:
                     break  # nothing beyond j accepts
                 passed.append(key)
-            nxt = state.next.get(text[j])
+            nxt = state.next.get(classes[j])
             if not nxt:
                 if nxt is None:
-                    nxt = step(state, text[j])
+                    nxt = step(state, classes[j])
                 if not nxt:
                     break
             state = nxt
@@ -206,6 +208,6 @@ def uncovered_spans(result: ScanResult) -> list[tuple[int, int]]:
 
 
 def render_tokens_text(result: ScanResult) -> str:
-    """One token per line: ``<id>\\t<TYPE>\\t<start>-<end>\\t<text>``."""
-    lines = [f"{t.id}\t{t.type_name}\t{t.start}-{t.end}\t{t.text}" for t in result.tokens]
+    """One token per line: ``<id>\\t<TYPE>\\t<start>-<end>\\t<text>``, the text JSON-escaped."""
+    lines = [f"{t.id}\t{t.type_name}\t{t.start}-{t.end}\t{_json_string(t.text)[1:-1]}" for t in result.tokens]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -5,6 +5,7 @@ code paths they check."""
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from dataclasses import dataclass
 
@@ -105,17 +106,17 @@ def longest_by_re(source: str, text: str, pos: int) -> int | None:
 def walk_longest(automaton, text: str, pos: int, live: int) -> list[tuple[int, int]]:
     """``(k, length)`` of the longest match at ``pos`` of each matcher ``k`` in
     ``live``, ascending in ``k``: steps ``automaton`` from its start state one
-    character at a time, through `Automaton.step` alone, and keeps each
-    matcher's last accepting offset."""
+    character class at a time, through `Automaton.step` alone, and keeps each
+    matcher's last accepting length."""
     state = automaton.start[live]
-    ends = {}
-    for i in range(pos, len(text)):
-        state = automaton.step(state, text[i])
+    lengths = {}
+    for length, c in enumerate(automaton.classes(text[pos:]), 1):
+        state = automaton.step(state, c)
         if not state:
             break
         for k in state.accepts:
-            ends[k] = i + 1
-    return sorted((k, end - pos) for k, end in ends.items())
+            lengths[k] = length
+    return sorted(lengths.items())
 
 
 # --- random generators -------------------------------------------------------
@@ -245,6 +246,25 @@ def random_parse_case(rng):
     grammar = Grammar(tuple(rules), "N0")
     assert not validate(_PARSE_DUMMY_SPEC, grammar)
     return result, grammar
+
+
+# Patterns whose labels reach the ends of the alphabet, ``.`` and astral ranges.
+EDGE_SOURCES = (".", r"[^\n]+", "[\x00-\t]", "[\U0010fff0-\U0010ffff]+", "\U0001f600|[\U0001f600-\U0001f602]+",
+                "[^a-z]", "\x0b.?", "[\ud7ff-\ue000]")
+
+
+def boundary_characters(patterns) -> list[str]:
+    """``lo - 1``, ``lo``, ``hi`` and ``hi + 1`` of every label, plus newline,
+    vertical tab, the last code point and astral characters."""
+    chars = {"\n", "\x0b", "\U0010ffff", "\U00010000", "\U0001f600"}
+    for p in patterns:
+        for out in p._edges:
+            for (ranges, _), _ in out:
+                for lo, hi in ranges:
+                    for c in (ord(lo) - 1, ord(lo), ord(hi), ord(hi) + 1):
+                        if 0 <= c <= 0x10FFFF:
+                            chars.add(chr(c))
+    return sorted(chars)
 
 
 # --- brute-force parse oracle -------------------------------------------------
@@ -450,7 +470,7 @@ def render_literal_trees(forest) -> str:
     def lines(iid, pad):
         inst = forest.instances[iid]
         if not inst.children:
-            return [f'{pad}{inst.type_name} "{inst.text}" [{inst.start}-{inst.end}]']
+            return [f"{pad}{inst.type_name} {json.dumps(inst.text, ensure_ascii=False)} [{inst.start}-{inst.end}]"]
         out = [f"{pad}{inst.type_name} [{inst.start}-{inst.end}]"]
         for child in inst.children:
             out += lines(child, pad + "  ")

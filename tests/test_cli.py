@@ -361,6 +361,26 @@ def test_parse_rule_past_the_last_token_exits_2(files, capsys):
     assert "no valid sentence" in err
 
 
+def test_text_formats_escape_token_texts(files, capsys):
+    # A line break, tab, quote or backslash in a token's text is written as
+    # in a JSON string, so each token stays on one line and reads back.
+    spec = files["dir"] / "any.lamb"
+    spec.write_text("token A 1 /[^x]+/\n", encoding="utf-8")
+    grammar = files["dir"] / "any.grammar"
+    grammar.write_text("S ::= A\n", encoding="utf-8")
+    source = files["dir"] / "any.txt"
+    text = 'a\n\t"\\b'
+    source.write_bytes(text.encode("utf-8"))
+    assert run(["scan", "--spec", str(spec), "--input", str(source)]) == 0
+    out, _ = capsys.readouterr()
+    assert out == '0\tA\t0-5\ta\\n\\t\\"\\\\b\n'
+    field = out.rstrip("\n").split("\t")[3]
+    assert json.loads(f'"{field}"') == text
+    assert run(["parse", "--spec", str(spec), "--grammar", str(grammar), "--input", str(source)]) == 0
+    out, _ = capsys.readouterr()
+    assert out == 'S [0-5]\n  A "a\\n\\t\\"\\\\b" [0-5]\n'
+
+
 def test_deeply_nested_pattern_scans(files, capsys):
     spec = files["dir"] / "deep.lamb"
     spec.write_text("token A 1 /" + "(" * 3000 + "a" + ")" * 3000 + "/\n", encoding="utf-8")

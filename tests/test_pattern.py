@@ -271,35 +271,16 @@ def test_union_walk_gives_every_live_matchers_longest_match(monkeypatch, cache_l
         assert len(automaton._dfa) <= cache_limit
 
 
-# Patterns whose labels reach the ends of the alphabet, ``.`` and astral ranges.
-_EDGE_SOURCES = (".", r"[^\n]+", "[\x00-\t]", "[\U0010fff0-\U0010ffff]+", "\U0001f600|[\U0001f600-\U0001f602]+",
-                 "[^a-z]", "\x0b.?", "[\ud7ff-\ue000]")
-
-
-def _boundary_characters(patterns) -> list[str]:
-    """``lo - 1``, ``lo``, ``hi`` and ``hi + 1`` of every label, plus newline,
-    vertical tab, the last code point and astral characters."""
-    chars = {"\n", "\x0b", "\U0010ffff", "\U00010000", "\U0001f600"}
-    for p in patterns:
-        for out in p._edges:
-            for (ranges, _), _ in out:
-                for lo, hi in ranges:
-                    for c in (ord(lo) - 1, ord(lo), ord(hi), ord(hi) + 1):
-                        if 0 <= c <= 0x10FFFF:
-                            chars.add(chr(c))
-    return sorted(chars)
-
-
 @pytest.mark.parametrize("cache_limit", [pattern._DFA_CACHE_LIMIT, 2])
 def test_union_agrees_with_nfa_on_character_class_boundaries(monkeypatch, cache_limit):
     monkeypatch.setattr(pattern, "_DFA_CACHE_LIMIT", cache_limit)
     rng = random.Random(20261020)
     for _ in range(80):
-        sources = [rng.choice(_EDGE_SOURCES) if rng.random() < 0.4 else support.random_pattern(rng)
+        sources = [rng.choice(support.EDGE_SOURCES) if rng.random() < 0.4 else support.random_pattern(rng)
                    for _ in range(rng.randint(1, 4))]
         patterns = [compile_pattern(source) for source in sources]
         automaton = pattern.union(patterns)
-        alphabet = _boundary_characters(patterns)
+        alphabet = support.boundary_characters(patterns)
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         for pos in range(len(text) + 1):
             live = rng.randrange(1, 1 << len(patterns))
@@ -320,9 +301,10 @@ def test_transitions_are_computed_once_per_character_class(monkeypatch):
 
     monkeypatch.setattr(pattern.Automaton, "_subset_step", counted)
     assert [t.text for t in scan(spec, "0123456789").tokens] == ["0123456789"]
-    # The start state and the state after a digit: one step each, not one per digit.
+    # The start state and the state after a digit: one step each, not one per
+    # digit, each on the digit class's first character.
     assert len(spec.automaton._dfa) == 2
-    assert steps == ["0", "1"]
+    assert steps == ["0", "0"]
 
 
 @settings(max_examples=300, deadline=None)

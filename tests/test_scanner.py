@@ -241,6 +241,24 @@ def test_scan_matches_oracle_on_generated_specs(case, cache_limit):
     assert len(spec.automaton._dfa) <= cache_limit
 
 
+@pytest.mark.parametrize("cache_limit", [pattern._DFA_CACHE_LIMIT, 2])
+def test_scan_matches_oracle_on_class_boundaries(monkeypatch, cache_limit):
+    # Inputs from each spec's label boundaries, newline, U+10FFFF and astral
+    # characters, so that the scan's walks cross every class edge.
+    monkeypatch.setattr(pattern, "_DFA_CACHE_LIMIT", cache_limit)
+    rng = random.Random(20261022)
+    for _ in range(300):
+        sources = [rng.choice(support.EDGE_SOURCES) if rng.random() < 0.4 else support.random_pattern(rng)
+                   for _ in range(rng.randint(1, 5))]
+        token_defs = [TokenDef(f"T{j}", rng.randint(1, 3), source, j) for j, source in enumerate(sources)]
+        ignore_defs = [IgnoreDef(rng.choice(support._IGNORE_POOL), len(sources))] if rng.random() < 0.5 else []
+        spec = LexSpec(tuple(token_defs), tuple(ignore_defs))
+        alphabet = support.boundary_characters(d.compiled for d in spec.by_precedence)
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+        assert scan(spec, text) == scan_oracle(spec, text), (sources, text)
+        assert len(spec.automaton._dfa) <= cache_limit
+
+
 def test_scan_matches_oracle_on_unvalidated_priorities():
     # Built without validation, a token may have priority 0, which makes it
     # ignored, or -1, which keeps it a token that goes before ignore patterns.
@@ -259,13 +277,13 @@ def test_scan_matches_oracle_on_unvalidated_priorities():
 
 def test_automaton_stays_bounded_on_many_distinct_characters():
     # Every character leads the one state to the empty set: no new state,
-    # but one more transition each, past the transition limit.
+    # and no transition per character, since a state keeps one per class.
     spec = parse_lex_spec("token Integer 1 /[0-9]+/\n")
     text = "".join(map(chr, range(0x20000, 0x20000 + 57952)))  # ideographs of plane 2
     assert scan(spec, text) == scan_oracle(spec, text)
     automaton = spec.automaton
     assert len(automaton._dfa) <= pattern._DFA_CACHE_LIMIT
-    assert sum(len(s.next) for s in automaton._dfa.values()) <= pattern._DFA_TRANSITION_LIMIT
+    assert all(len(s.next) <= len(automaton._bounds) + 1 for s in automaton._dfa.values())
 
 
 def test_one_long_scan_keeps_the_dfa_bounded_across_flushes(monkeypatch):
