@@ -361,6 +361,41 @@ def test_scan_matches_oracle_where_long_walks_find_no_match(cache_limit):
             assert scan(spec, text) == scan_oracle(spec, text), (lines, text)
 
 
+# Patterns whose walks reach far, and short ones of other priorities whose
+# matches drag the long ones' watermarks, so that the set of live matchers
+# changes from position to position while walks run past _MEMO_AFTER.
+_LONG_REACHING = ("((.)*)+", "[^ ]+", ".*x")
+_DRAGGING = ("[a-c0-3]-.", "\\+", "[a-x]")
+
+
+def _keyword(rng) -> str:
+    return "".join(support._render_literal(rng.choice("ab01x.")) for _ in range(rng.randint(1, 4)))
+
+
+@pytest.mark.parametrize("cache_limit", [pattern._DFA_CACHE_LIMIT, 2])
+def test_scan_matches_oracle_on_long_walks_under_changing_live_sets(monkeypatch, cache_limit):
+    monkeypatch.setattr(pattern, "_DFA_CACHE_LIMIT", cache_limit)
+    rng = random.Random(20261021)
+    cases = []
+    for _ in range(200):
+        sources = rng.sample(_LONG_REACHING, rng.randint(1, 2)) + rng.sample(_DRAGGING, rng.randint(1, 3))
+        rng.shuffle(sources)
+        cases.append(sources)
+    for _ in range(4):  # specs of 100 or more definitions
+        sources = [*_LONG_REACHING, *_DRAGGING]
+        sources += [_keyword(rng) if rng.random() < 0.7 else support.random_pattern(rng) for _ in range(rng.randint(94, 120))]
+        rng.shuffle(sources)
+        cases.append(sources)
+    for sources in cases:
+        lines = [f"token T{j} {rng.randint(1, 3)} /{source}/" for j, source in enumerate(sources)]
+        if len(sources) >= 100 or rng.random() < 0.5:
+            lines.insert(rng.randint(0, len(lines)), "ignore / +/")
+        spec = parse_lex_spec("\n".join(lines) + "\n")
+        text = support.random_input(rng, max_length=300)
+        assert scan(spec, text) == scan_oracle(spec, text), (lines, text)
+        assert len(spec.automaton._dfa) <= cache_limit
+
+
 def test_automaton_is_built_by_the_first_scan_and_kept():
     spec = parse_lex_spec(support.numbers_spec_text())
     assert "automaton" not in vars(spec)
