@@ -161,15 +161,31 @@ def test_criterion_7_parser_completeness():
             divergences == 0, f"divergences={divergences}")
 
 
-def _best_time(fn, repeats, trials=3):
-    best = None
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
+def _best_times(runs: dict, rounds: int = 5, repeats: int = 1) -> dict:
+    """The best time of each run of ``runs`` over ``rounds`` rounds, each of
+    ``repeats`` calls.  The collector is off while timing, as in timeit: a
+    full collection scans every object in the process, so its cost follows
+    the test runner's heap.  The runs alternate, so that all see the same
+    load on the machine."""
+    best = dict.fromkeys(runs, math.inf)
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            for key, run in runs.items():
+                t0 = time.perf_counter()
+                for _ in range(repeats):
+                    run()
+                best[key] = min(best[key], time.perf_counter() - t0)
+    finally:
+        gc.enable()
     return best
+
+
+def _growth(best: dict) -> tuple[float, str]:
+    """The ratio of the larger run's best time to the smaller's, and a line that shows both."""
+    small, large = best.values()
+    ratio = large / max(small, 1e-9)
+    return ratio, f"x{ratio:.2f} ({small:.4f}s -> {large:.4f}s)"
 
 
 def test_criterion_8_complexity_smoke():
@@ -185,22 +201,12 @@ def test_criterion_8_complexity_smoke():
         result = ScanResult(toks, 3 * count, ())
         return lambda: build_graph(result)
 
-    # Each half times its two sizes; the graph build is short, so it repeats.
-    halves = {"scan": (1, scan_chars(10_000), scan_chars(20_000)), "graph": (20, chain(2_000), chain(4_000))}
-    best = {half: [math.inf, math.inf] for half in halves}
-    # As in criterion 10: the collector off, and the sizes alternating.
-    gc.disable()
-    try:
-        for _ in range(5):
-            for half, (repeats, *runs) in halves.items():
-                for k, run in enumerate(runs):
-                    best[half][k] = min(best[half][k], _best_time(run, repeats, trials=1))
-    finally:
-        gc.enable()
-    scan_ratio, graph_ratio = (large / max(small, 1e-9) for small, large in best.values())
+    scan_ratio, scan_detail = _growth(_best_times({n: scan_chars(n) for n in (10_000, 20_000)}))
+    # The graph build is short, so each round repeats it.
+    graph_ratio, graph_detail = _growth(_best_times({n: chain(n) for n in (2_000, 4_000)}, repeats=20))
     ok = scan_ratio <= 5.0 and graph_ratio <= 5.0
     _report(8, "doubling input grows scan and graph build by at most 5x", ok,
-            f"scan x{scan_ratio:.2f}, graph x{graph_ratio:.2f}")
+            f"scan {scan_detail}, graph {graph_detail}")
 
 
 _STARS_TEXT = ("aaab ab b aaaa " * 4)[:50]
@@ -223,18 +229,9 @@ def test_criterion_8_spec_of_4000_stars_loads_and_scans():
 
 
 def test_criterion_8_spec_load_growth():
-    best = {1000: math.inf, 4000: math.inf}
-    # As in criterion 10: the collector off, and the sizes alternating.
-    gc.disable()
-    try:
-        for _ in range(5):
-            for count in best:
-                best[count] = min(best[count], _best_time(lambda: _load_and_scan_stars(count), repeats=1, trials=1))
-    finally:
-        gc.enable()
-    ratio = best[4000] / max(best[1000], 1e-9)
-    _report(8, "spec load plus scan grows by at most 8x from 1,000 to 4,000 a*", ratio <= 8.0,
-            f"x{ratio:.2f} ({best[1000]:.4f}s -> {best[4000]:.4f}s)")
+    ratio, detail = _growth(_best_times({count: lambda count=count: _load_and_scan_stars(count)
+                                         for count in (1000, 4000)}))
+    _report(8, "spec load plus scan grows by at most 8x from 1,000 to 4,000 a*", ratio <= 8.0, detail)
 
 
 _UNFINISHED_RUN = 1_200  # a×n at n and 4n: 1 s or more when the scan is quadratic here, ms when linear
@@ -243,21 +240,14 @@ _UNFINISHED_RUN = 1_200  # a×n at n and 4n: 1 s or more when the scan is quadra
 def test_criterion_8_scan_is_linear_on_walks_that_find_no_match():
     # From every offset of a×n, /a*b/ reads on to the end of the text and
     # never matches; the failure memo stops each walk after a few characters.
-    spec = parse_lex_spec("token A 1 /a*b/\ntoken B 2 /a/\n")
-    texts = {n: "a" * n for n in (_UNFINISHED_RUN, 4 * _UNFINISHED_RUN)}
-    best = dict.fromkeys(texts, math.inf)
-    # As in criterion 10: the collector off, and the sizes alternating.
-    gc.disable()
-    try:
-        for _ in range(5):
-            for n, text in texts.items():
-                best[n] = min(best[n], _best_time(lambda: scan(spec, text), repeats=1, trials=1))
-    finally:
-        gc.enable()
-    small, large = best.values()
-    ratio = large / max(small, 1e-9)
-    _report(8, "a*b plus a on a×n: 4x the input grows the scan by at most 6.25x (2.5x per doubling)",
-            ratio <= 6.25, f"x{ratio:.2f} ({small:.4f}s -> {large:.4f}s)")
+    # Under /a+/ the one token a+ covers the whole text, so from every later
+    # offset only /a*b/ is live, while /a+/ accepts at every character.
+    for short in ("a", "a+"):
+        spec = parse_lex_spec(f"token A 1 /a*b/\ntoken B 2 /{short}/\n")
+        texts = ["a" * n for n in (_UNFINISHED_RUN, 4 * _UNFINISHED_RUN)]
+        ratio, detail = _growth(_best_times({len(text): lambda text=text: scan(spec, text) for text in texts}))
+        _report(8, f"a*b plus {short} on a×n: 4x the input grows the scan by at most 6.25x (2.5x per doubling)",
+                ratio <= 6.25, detail)
 
 
 _RESERVED_SPEC = (Path(__file__).resolve().parents[1] / "samples" / "reserved.lamb").read_text()
@@ -272,19 +262,9 @@ def test_criterion_8_scan_is_linear_on_one_long_identifier():
     texts = {n: "w" + "h" * (n - 1) for n in (2_000, 8_000)}
     for n, text in texts.items():
         assert scan(spec, text).tokens == (Token(0, "IDENTIFIER", text, 0, n - 1),)
-    best = dict.fromkeys(texts, math.inf)
-    # As in criterion 10: the collector off, and the sizes alternating.
-    gc.disable()
-    try:
-        for _ in range(5):
-            for n, text in texts.items():
-                best[n] = min(best[n], _best_time(lambda: scan(spec, text), repeats=1, trials=1))
-    finally:
-        gc.enable()
-    small, large = best.values()
-    ratio = large / max(small, 1e-9)
+    ratio, detail = _growth(_best_times({n: lambda text=text: scan(spec, text) for n, text in texts.items()}))
     _report(8, "one identifier of n characters among keywords: 4x the input grows the scan by at most 6.25x",
-            ratio <= 6.25, f"x{ratio:.2f} ({small:.4f}s -> {large:.4f}s)")
+            ratio <= 6.25, detail)
 
 
 def test_criterion_10_packed_ambiguity():
@@ -295,27 +275,14 @@ def test_criterion_10_packed_ambiguity():
         graph = build_graph(scan(spec, "x" * count))
         return lambda: parse(graph, grammar)
 
-    best = {50: math.inf, 100: math.inf}
-    runs = {count: parse_x(count) for count in best}
-    # The collector is off while timing, as in timeit: a full collection scans
-    # every object in the process, so its cost follows the test runner's heap.
-    # The sizes alternate, so that both see the same load on the machine.
-    gc.disable()
-    try:
-        for _ in range(7):
-            for count, run in runs.items():
-                best[count] = min(best[count], _best_time(run, repeats=1, trials=1))
-    finally:
-        gc.enable()
-    small, large = best[50], best[100]
-    ratio = large / max(small, 1e-9)
+    ratio, detail = _growth(_best_times({count: parse_x(count) for count in (50, 100)}, rounds=7))
     wrong = [
         n for n in range(3, 31)
         if json.loads(forest_to_json(parse_x(n)()))["trees"] != math.comb(2 * n - 2, n - 1) // n
     ]
     ok = ratio <= 10.0 and not wrong
     _report(10, "E ::= E E | x: 50 to 100 tokens grows parse by at most 10x; Catalan(n-1) trees for n = 3..30",
-            ok, f"parse x{ratio:.2f} ({small:.4f}s -> {large:.4f}s), wrong tree counts at n = {wrong}")
+            ok, f"parse {detail}, wrong tree counts at n = {wrong}")
 
 
 def test_criterion_9_serialization_stability():
