@@ -10,13 +10,10 @@ A pattern compiles to a small Thompson-style NFA, and `Pattern` is that NFA
 alone.  Its edge labels have one shape, ``(ranges, negated)``: a literal
 ``c`` is ``(((c, c),), False)``, a class keeps its ranges as written, and
 ``.`` is `_ANY`.  `union` puts one or more patterns, the matchers, into one
-`Automaton`: their NFA states share one numbering, and each DFA state records
-which matchers accept in it.  A walk from a position takes the start state
-``start[live]`` of the matchers it names and moves one character class at a
-time, reading the text's classes from `Automaton.classes`, by the state's
-``next`` dict or, on a miss, by `step`; the offsets where a matcher accepts
-give its longest match.  One walk so serves every matcher it names, which is
-how the scanner, walking the states itself, tries a whole spec at once.
+`Automaton` with one DFA, as RE2's ``Set`` does.  Each DFA state records
+which matchers accept in it and which are alive in it, so one walk from the
+one start state gives the longest match of every matcher, and can stop where
+none that it wants is alive: that is how the scanner tries a whole spec.
 
 The automaton's DFA is built lazily by subset construction (Thompson, 1968;
 Cox, "Regular Expression Matching Can Be Simple And Fast", 2007): a DFA state
@@ -46,6 +43,7 @@ competes, and the longest hit wins.  Zero-length matches are never reported.
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import suppress
 
 __all__ = ["Automaton", "Pattern", "PatternError", "compile", "union"]
 
@@ -105,58 +103,51 @@ class _DState:
     keeping the state alive past a flush of the cache.
     """
 
-    __slots__ = ("nfa", "accepts", "next", "id")
+    __slots__ = ("nfa", "accepts", "alive", "next", "id")
 
-    def __init__(self, nfa: frozenset[int], accepts: tuple[int, ...], id: int):
+    def __init__(self, nfa: frozenset[int], accepts: tuple[int, ...], alive: int, id: int):
         self.id = id
         self.nfa = nfa
         self.accepts = accepts  # matchers whose accept state is in ``nfa``, ascending
+        self.alive = alive  # bit k set: matcher k owns an NFA state in ``nfa``
         self.next: dict[str, _DState | bool] = {}  # False: the empty set, no match beyond
-
-
-class _Starts(dict):
-    """An automaton's start state of each ``live`` seen so far, made on first
-    lookup: the ε-closure of the NFA start states of the matchers in ``live``."""
-
-    __slots__ = ("automaton",)
-
-    def __missing__(self, live: int) -> _DState:
-        a = self.automaton
-        state = self[live] = a._intern(a._closure([s for k, s in enumerate(a._heads) if live >> k & 1]))
-        return state
 
 
 class Automaton:
     """A DFA built lazily over the Thompson NFAs of one or more matchers; `union` builds it.
 
-    A walk names the matchers it wants by a bitmask, ``live`` (bit ``k`` for
-    matcher ``k``), takes their start state ``start[live]``, and moves on one
-    character at a time, by its class ``c`` in `classes` of the text:
-    ``state.next.get(c)``, or `step` where that is not known yet.
-    ``state.accepts`` lists the matchers whose match ends where the walk
-    stands; the walk is over when the next state is False.
+    Every walk takes the one start state ``start``, the ε-closure of all the
+    matchers' NFA start states, and moves on by the class ``c`` of each
+    character, from `classes`: ``state.next.get(c)``, or `step` where that
+    is not known yet.  ``state.accepts`` lists the matchers whose match ends
+    where the walk stands.  The walk is over at a False state, or, if it
+    wants only the matchers of a bitmask ``live``, where ``alive & live`` is 0.
 
-    ``start`` keeps the start state of each ``live`` and ``_dfa`` maps each
-    NFA state set to its DFA state.  Both are caches that only gain states
-    equal by content to ones they could have built, or are emptied together
+    ``_dfa`` maps each NFA state set to its DFA state: a cache that only
+    gains states equal by content to ones it could have built, or is emptied
     past ``_DFA_CACHE_LIMIT`` states, so answers never depend on earlier
-    walks.  The automaton alone decides when to empty them: a walk that looks
-    its start state up in ``start`` each time, and holds no state but the one
-    it stands on, keeps no emptied state alive.
+    walks.  The automaton alone decides when to empty it, and makes ``start``
+    on the first read after: a walk that reads ``start`` afresh each time,
+    and holds no state but the one it stands on, keeps no emptied state alive.
     """
 
-    __slots__ = ("_edges", "_eps", "_heads", "_accepting", "_dfa", "start", "_bounds", "_made")
+    __slots__ = ("_edges", "_eps", "_heads", "_accepting", "_owners", "_dfa", "start", "_bounds", "_made")
 
-    def __init__(self, edges, eps, heads, accepting):
+    def __init__(self, edges, eps, heads, accepting, owners):
         self._edges = edges
         self._eps = eps
         self._heads = heads  # the NFA start state of each matcher
         self._accepting = accepting  # NFA accept state -> its matcher
+        self._owners = owners  # NFA state -> the bit of its matcher
         self._dfa: dict[frozenset[int], _DState] = {}
-        self.start = _Starts()
-        self.start.automaton = self
         self._bounds = _class_bounds(edges)
         self._made = 0  # DFA states made, the next state's id
+
+    def __getattr__(self, name: str) -> _DState:
+        if name != "start":  # reached only while the ``start`` slot is unset
+            raise AttributeError(name)
+        self.start = self._intern(self._closure(self._heads))
+        return self.start
 
     def classes(self, text: str) -> str:
         """``text`` with each character replaced by its class, ``chr(k)`` for class ``k``."""
@@ -166,11 +157,8 @@ class Automaton:
 
     def step(self, state: _DState, c: str) -> _DState | bool:
         """The state ``state`` moves to on class ``c``; False when no NFA state is left.
-
-        The answer is computed once, on the class's first character, and kept
-        in ``state.next``, so a walk reads ``state.next.get(c)`` first and
-        calls this only on a miss.
-        """
+        Computed on the class's first character and kept in ``state.next``,
+        which a walk reads first, calling this only on a miss."""
         nxt = state.next.get(c)
         if nxt is None:
             nxt = state.next[c] = self._subset_step(state, self._bounds[ord(c) - 1])
@@ -193,16 +181,18 @@ class Automaton:
         if state is None:
             if len(self._dfa) >= _DFA_CACHE_LIMIT:
                 self._clear()
-            accepting = self._accepting
+            accepting, owners = self._accepting, self._owners
             accepts = tuple(sorted(accepting[s] for s in nfa if s in accepting))
-            state = self._dfa[nfa] = _DState(nfa, accepts, self._made)
+            alive = sum({owners[s] for s in nfa})  # each owner's one bit, once
+            state = self._dfa[nfa] = _DState(nfa, accepts, alive, self._made)
             self._made += 1
         return state
 
     def _clear(self) -> None:
         # Old states stay reachable only from a walk still running.
         self._dfa.clear()
-        self.start.clear()
+        with suppress(AttributeError):  # unset already when no walk read it since the last flush
+            del self.start
 
     def _subset_step(self, state: _DState, ch: str) -> _DState | bool:
         """The DFA state for the NFA states that ``state`` reaches on ``ch``."""
@@ -234,7 +224,7 @@ class Pattern:
         if not 0 <= pos <= n:
             raise ValueError(f"position {pos} outside input of length {n}")
         automaton = union([self])
-        state = automaton.start[1]
+        state = automaton.start
         longest = None
         for length, c in enumerate(automaton.classes(text[pos:]), 1):
             state = automaton.step(state, c)
@@ -252,13 +242,15 @@ def union(patterns: list[Pattern]) -> Automaton:
     eps: list[tuple[int, ...]] = []
     heads = []
     accepting = {}
+    owners: list[int] = []
     for k, p in enumerate(patterns):
         base = len(edges)
         edges += [tuple((label, t + base) for label, t in out) for out in p._edges]
         eps += [tuple(t + base for t in out) for out in p._eps]
         heads.append(p._start + base)
         accepting[p._accept + base] = k
-    return Automaton(edges, eps, tuple(heads), accepting)
+        owners += [1 << k] * len(p._edges)
+    return Automaton(edges, eps, tuple(heads), accepting, owners)
 
 
 class _Compiler:

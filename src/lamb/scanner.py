@@ -16,28 +16,28 @@ still letting genuinely overlapping alternatives coexist.
 
 The matching itself is one walk per position over the DFA states of the
 spec's automaton (`LexSpec.automaton`, built by the first scan), which `scan`
-steps through inline: from the start state of the matchers whose watermark
-lies below the position, one ``next`` lookup per character, keyed by its
-class in the text's `Automaton.classes`, and `Automaton.step` only where a
-transition is not known yet.  The walk notes which matchers accept at each
-offset, and so gives the longest match of each of them at once; the
-precedence and watermark rules above then run over those ends directly.
+steps through inline: from the automaton's one start state, one ``next``
+lookup per character, keyed by its class in the text's `Automaton.classes`,
+and `Automaton.step` only where a transition is not known yet.  The walk
+notes which matchers accept at each offset, and so gives the longest match
+of each of them at once; the rules above then run over those ends, passing
+over the matchers whose watermark is at or past the position.  The walk
+stops where no other matcher is alive, as a walk of those alone would.
 
 Walks from every position would make the scan quadratic on text that keeps a
 walk alive without completing a match, such as ``a``×n under ``/a*b/``.  So
 one scan keeps the failure memo of Reps ("'Maximal-munch' tokenization in
-linear time", TOPLAS 1998): the pairs (DFA state, offset) from which a walk
-reached no accepting state.  Such a pair depends on the text and the
-automaton only, so a later walk that reaches it stops there with the same
-answer.  Past their last accept, the walks of one scan then read each pair at
-most once between them; before it, a walk reads no further than its longest
-match.  The scan of ``a``×n under ``/a*b/`` plus ``/a/`` is so linear.  Walks
-check and record pairs only from ``_MEMO_AFTER`` characters on, since most
-walks end sooner and then pay nothing for the memo.  The memo keys a state by
-its ``id``, never by the state itself, and each position reads its start
-state afresh from the automaton's ``start`` cache, holding none across a
-step; so the automaton alone decides when its cache is emptied, and a scan
-keeps no emptied state alive.
+linear time", TOPLAS 1998): for each pair (DFA state, offset), the matchers
+that accept nowhere a walk from it reaches.  That depends on the text and
+the automaton only, so a later walk that reaches the pair stops there when
+it wants none but those matchers.  Past their last accept, the walks of one
+scan then read each pair at most once per set of matchers they want; before
+it, a walk reads no further than its longest match.  The scan of ``a``×n
+under ``/a*b/`` plus ``/a/`` or ``/a+/`` is so linear.  Walks check and
+record pairs only from ``_MEMO_AFTER`` characters on, since most walks end
+sooner and then pay nothing for the memo.  The memo keys a state by its
+``id``, and each position reads the start state afresh, holding none across
+a step, so a scan keeps no state of an emptied cache alive.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     """
     defs = spec.by_precedence  # matcher k is defs[k], in precedence order
     automaton = spec.automaton
-    starts, step = automaton.start, automaton.step
+    step = automaton.step
     classes = automaton.classes(text)  # walks read classes; token texts slice ``text``
     # Per matcher: priority (0 = ignored), token name, watermark, and where
     # its suffix of strictly lower precedence starts.
@@ -104,22 +104,27 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     # By offset: the matchers whose watermark lies just before it.  Each
     # matcher outside ``live`` is in exactly one entry, that of its watermark.
     wake_at = [0] * (n + 1)
-    # Reps's memo: the pairs (DFA state, offset) from which a walk reaches
-    # no accepting state, each kept as ``state.id * stride + offset``.
-    failed: set[int] = set()
-    passed: list[int] = []  # such pairs of the current walk since its last accept
+    # Reps's memo: per pair (DFA state, offset), kept as ``state.id * stride +
+    # offset``, the bits of the matchers that accept nowhere a walk from it reaches.
+    failed: dict[int, int] = {}
+    passed: list[int] = []  # pairs of the current walk since a live matcher last accepted
     stride = n + 1
+    partial = False  # live != all_live; else every state has a live matcher alive
     for i in range(n):
-        live |= wake_at[i]
-        if not live:
+        if wake_at[i]:
+            live |= wake_at[i]
+            partial = live != all_live
+        elif not live:
             continue
-        state = starts[live]
+        state = automaton.start
         nxt = state.next.get(classes[i])
         if not nxt:  # None: not computed yet; False: no match starts here
             if nxt is None:
                 nxt = step(state, classes[i])
             if not nxt:
                 continue
+        if partial and not nxt.alive & live:
+            continue  # no live matcher gets past i
         state = nxt  # the walk holds no start state
         # Walk on from i + 1.  ``accepts`` are the matchers accepting at
         # ``end``, the latest accepting offset; ``earlier`` keeps the
@@ -131,8 +136,8 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
         while j < n:
             if j >= memo_from:
                 key = state.id * stride + j
-                if key in failed:
-                    break  # nothing beyond j accepts
+                if not live & ~failed.get(key, 0):
+                    break  # no live matcher accepts beyond j
                 passed.append(key)
             nxt = state.next.get(classes[j])
             if not nxt:
@@ -140,10 +145,12 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                     nxt = step(state, classes[j])
                 if not nxt:
                     break
+            if partial and not nxt.alive & live:
+                break  # no live matcher accepts beyond j
             state = nxt
             j += 1
             if state.accepts:
-                if passed:
+                if passed and (not partial or any(live >> k & 1 for k in state.accepts)):
                     passed.clear()
                 if state.accepts != accepts:
                     if accepts:
@@ -153,7 +160,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                     accepts = state.accepts
                 end = j
         if passed:
-            failed.update(passed)
+            failed.update({key: failed.get(key, 0) | live for key in passed})
             passed.clear()
         if not accepts:
             continue
@@ -168,7 +175,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                 continue  # dragged past i by a match of higher precedence
             last = (end if earlier is None else ends[k]) - 1
             new_mark = last
-            if live != all_live:  # else no watermark is at or past i
+            if partial:  # else no watermark is at or past i
                 for mark in marks:
                     if i <= mark < new_mark:
                         new_mark = mark
@@ -184,6 +191,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                     waiting ^= bit
                 marks[lo:] = [new_mark] * (m - lo)
             live &= kept[k]
+            partial = True
             wake_at[new_mark + 1] |= moved[k]
             if priorities[k]:
                 tokens.append(new_token(Token, (len(tokens), names[k], text[i:last + 1], i, last)))

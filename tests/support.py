@@ -106,16 +106,23 @@ def longest_by_re(source: str, text: str, pos: int) -> int | None:
 def walk_longest(automaton, text: str, pos: int, live: int) -> list[tuple[int, int]]:
     """``(k, length)`` of the longest match at ``pos`` of each matcher ``k`` in
     ``live``, ascending in ``k``: steps ``automaton`` from its start state one
-    character class at a time, through `Automaton.step` alone, and keeps each
-    matcher's last accepting length."""
-    state = automaton.start[live]
+    character class at a time, through `Automaton.step` alone, until no
+    matcher in ``live`` is alive, and keeps each such matcher's last
+    accepting length.  The text is translated to classes in chunks that
+    double, so a walk translates no more than twice what it reads."""
+    state = automaton.start
     lengths = {}
-    for length, c in enumerate(automaton.classes(text[pos:]), 1):
-        state = automaton.step(state, c)
-        if not state:
-            break
-        for k in state.accepts:
-            lengths[k] = length
+    length, chunk = 0, 16
+    while pos + length < len(text):
+        for c in automaton.classes(text[pos + length:pos + length + chunk]):
+            state = automaton.step(state, c)
+            if not state or not state.alive & live:
+                return sorted(lengths.items())
+            length += 1
+            for k in state.accepts:
+                if live >> k & 1:
+                    lengths[k] = length
+        chunk *= 2
     return sorted(lengths.items())
 
 

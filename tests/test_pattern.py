@@ -185,9 +185,9 @@ def test_compile_builds_no_dfa_state():
     p = compile_pattern(r"(-|\+)?[0-9]+\.[0-9]+")
     assert not hasattr(p, "_dfa")  # a pattern is its NFA alone
     automaton = pattern.union([p])
-    assert automaton._dfa == {} and automaton.start == {}
+    assert automaton._dfa == {}
     assert support.walk_longest(automaton, "1.5", 0, 1) == [(0, 3)]
-    assert automaton._dfa
+    assert automaton._dfa and automaton._dfa[automaton.start.nfa] is automaton.start
 
 
 def _longest(automaton, text, pos):
@@ -243,7 +243,7 @@ def test_dfa_cache_is_bounded_and_answers_survive_flushes():
     for pos in (0, 1, 2, 5000, 11980):
         assert _longest(automaton, text, pos) == oracles.match_longest_oracle(p, text, pos), pos
         # After a flush the next query starts from a fresh state, never an old one.
-        assert all(automaton._dfa.get(start.nfa) is start for start in automaton.start.values())
+        assert automaton._dfa.get(automaton.start.nfa) is automaton.start
     assert cache.clears >= 1
     assert cache.largest == pattern._DFA_CACHE_LIMIT
 
