@@ -142,7 +142,7 @@ def to_dot(g: LexGraph) -> str:
     lines = ["digraph lexgraph {", "  rankdir=LR;"]
     starts = set(g.start_set)
     for t in g.tokens:
-        label = _dot_escape(f'{t.type_name}\n"{t.text}"@{t.start}-{t.end}')
+        label = _dot_escape(f"{t.type_name}\n{_json_string(t.text)}@{t.start}-{t.end}")
         shape = ", shape=doublecircle" if t.id in starts else ""
         lines.append(f'  n{t.id} [label="{label}"{shape}];')
     for t in g.tokens:

@@ -290,7 +290,7 @@ def forest_to_dot(f: ParseForest) -> str:
         if inst.alternatives:
             label = f"{inst.type_name}@{inst.start}-{inst.end}"
         else:
-            label = f'{inst.type_name}\n"{inst.text}"@{inst.start}-{inst.end}'
+            label = f"{inst.type_name}\n{_json_string(inst.text)}@{inst.start}-{inst.end}"
         lines.append(f'  i{iid} [label="{_dot_escape(label)}"];')
     for iid in sorted(reachable):
         alternatives = f.instances[iid].alternatives

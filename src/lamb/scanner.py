@@ -62,7 +62,7 @@ class Token(NamedTuple):
     end: int    # inclusive
 
     def __str__(self) -> str:
-        return f'{self.type_name} "{self.text}"@{self.start}-{self.end}'
+        return f"{self.type_name} {_json_string(self.text)}@{self.start}-{self.end}"
 
 
 @dataclass(frozen=True)

@@ -381,6 +381,23 @@ def test_text_formats_escape_token_texts(files, capsys):
     assert out == 'S [0-5]\n  A "a\\n\\t\\"\\\\b" [0-5]\n'
 
 
+def test_dot_labels_write_token_texts_as_json_strings(files, capsys):
+    # In both DOT outputs a token's label holds its text as a JSON string, DOT-escaped.
+    spec = files["dir"] / "any.lamb"
+    spec.write_text("token A 1 /[^x]+/\n", encoding="utf-8")
+    grammar = files["dir"] / "any.grammar"
+    grammar.write_text("S ::= A\n", encoding="utf-8")
+    source = files["dir"] / "any.txt"
+    source.write_bytes('a\n\t"\\b'.encode("utf-8"))
+    label = r'label="A\n\"a\\n\\t\\\"\\\\b\"@0-5"'
+    assert run(["scan", "--format", "dot", "--spec", str(spec), "--input", str(source)]) == 0
+    out, _ = capsys.readouterr()
+    assert f"  n0 [{label}, shape=doublecircle];\n" in out
+    assert run(["parse", "--format", "dot", "--spec", str(spec), "--grammar", str(grammar), "--input", str(source)]) == 0
+    out, _ = capsys.readouterr()
+    assert f"  i0 [{label}];\n" in out
+
+
 def test_deeply_nested_pattern_scans(files, capsys):
     spec = files["dir"] / "deep.lamb"
     spec.write_text("token A 1 /" + "(" * 3000 + "a" + ")" * 3000 + "/\n", encoding="utf-8")

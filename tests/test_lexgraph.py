@@ -264,6 +264,16 @@ def test_graph_from_json_rejects_spans_no_scan_produces(token, input_length):
         graph_from_json(to_json(graph))
 
 
+def test_graph_from_json_writes_the_token_of_a_bad_span_on_one_line():
+    # The text a"@0-0<newline>b holds what a raw quote would show as a false span.
+    text = ('{"input_length":9,"tokens":[{"id":0,"type":"A","text":"a\\"@0-0\\nb","start":0,"end":5,'
+            '"preceding":[],"following":[]}],"start":[0]}')
+    with pytest.raises(ValueError) as caught:
+        graph_from_json(text)
+    assert str(caught.value) == ('token graph JSON: token 0 (A "a\\"@0-0\\nb"@0-5) needs 0 <= start <= end '
+                                 '< input_length (9) and text of length end - start + 1')
+
+
 def test_json_empty_graph():
     assert to_json(build_graph(_intervals([]))) == '{"input_length":0,"tokens":[],"start":[]}'
 
