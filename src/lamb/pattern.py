@@ -43,7 +43,6 @@ competes, and the longest hit wins.  Zero-length matches are never reported.
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import suppress
 
 __all__ = ["Automaton", "Pattern", "PatternError", "compile", "union"]
 
@@ -97,10 +96,11 @@ class _DState:
     """One DFA state: a set of NFA states and its transitions found so far.
 
     ``next`` maps a character class, as `Automaton.classes` writes it, to the
-    state this one moves to on the characters of that class.  ``id`` numbers
-    the states of one automaton in the order they were made, never reusing a
-    number, so a caller can key what it learns of a state by ``id`` without
-    keeping the state alive past a flush of the cache.
+    state this one moves to on the characters of that class.  ``alive`` has
+    bit ``k`` set when matcher ``k`` owns an NFA state of the set.  ``id``
+    numbers the states of one automaton in the order they were made, never
+    reusing a number, so a caller can key what it learns of a state by ``id``
+    without keeping the state alive past a flush of the cache.
     """
 
     __slots__ = ("nfa", "accepts", "alive", "next", "id")
@@ -109,7 +109,7 @@ class _DState:
         self.id = id
         self.nfa = nfa
         self.accepts = accepts  # matchers whose accept state is in ``nfa``, ascending
-        self.alive = alive  # bit k set: matcher k owns an NFA state in ``nfa``
+        self.alive = alive
         self.next: dict[str, _DState | bool] = {}  # False: the empty set, no match beyond
 
 
@@ -126,8 +126,9 @@ class Automaton:
     ``_dfa`` maps each NFA state set to its DFA state: a cache that only
     gains states equal by content to ones it could have built, or is emptied
     past ``_DFA_CACHE_LIMIT`` states, so answers never depend on earlier
-    walks.  The automaton alone decides when to empty it, and makes ``start``
-    on the first read after: a walk that reads ``start`` afresh each time,
+    walks.  The automaton alone decides when to empty it, and sets ``start``
+    to None with it, as it is before the first walk; a walk then takes
+    ``start or make_start()``.  A walk that reads ``start`` afresh each time,
     and holds no state but the one it stands on, keeps no emptied state alive.
     """
 
@@ -142,10 +143,10 @@ class Automaton:
         self._dfa: dict[frozenset[int], _DState] = {}
         self._bounds = _class_bounds(edges)
         self._made = 0  # DFA states made, the next state's id
+        self.start: _DState | None = None
 
-    def __getattr__(self, name: str) -> _DState:
-        if name != "start":  # reached only while the ``start`` slot is unset
-            raise AttributeError(name)
+    def make_start(self) -> _DState:
+        """The start state, made and kept as ``start``: a walk calls this where ``start`` is None."""
         self.start = self._intern(self._closure(self._heads))
         return self.start
 
@@ -191,8 +192,7 @@ class Automaton:
     def _clear(self) -> None:
         # Old states stay reachable only from a walk still running.
         self._dfa.clear()
-        with suppress(AttributeError):  # unset already when no walk read it since the last flush
-            del self.start
+        self.start = None
 
     def _subset_step(self, state: _DState, ch: str) -> _DState | bool:
         """The DFA state for the NFA states that ``state`` reaches on ``ch``."""
@@ -224,7 +224,7 @@ class Pattern:
         if not 0 <= pos <= n:
             raise ValueError(f"position {pos} outside input of length {n}")
         automaton = union([self])
-        state = automaton.start
+        state = automaton.make_start()
         longest = None
         for length, c in enumerate(automaton.classes(text[pos:]), 1):
             state = automaton.step(state, c)

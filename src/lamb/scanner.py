@@ -14,15 +14,14 @@ lower precedence are dragged forward to the same offset.  That is what keeps,
 say, a keyword's characters from re-matching as an identifier suffix while
 still letting genuinely overlapping alternatives coexist.
 
-The matching itself is one walk per position over the DFA states of the
-spec's automaton (`LexSpec.automaton`, built by the first scan), which `scan`
-steps through inline: from the automaton's one start state, one ``next``
-lookup per character, keyed by its class in the text's `Automaton.classes`,
-and `Automaton.step` only where a transition is not known yet.  The walk
-notes which matchers accept at each offset, and so gives the longest match
-of each of them at once; the rules above then run over those ends, passing
-over the matchers whose watermark is at or past the position.  The walk
-stops where no other matcher is alive, as a walk of those alone would.
+The matching itself is one walk per position over the DFA states of the spec's
+automaton (`LexSpec.automaton`, built by the first scan), which `scan` steps
+through inline: from the automaton's one start state, one ``next`` lookup per
+character, keyed by its class in the text's `Automaton.classes`, and
+`Automaton.step` only where a transition is not known yet.  The walk notes
+where each matcher accepts, which gives every longest match at once.  The
+rules above run over those ends, passing over the matchers whose watermark is
+at or past the position; the walk stops where no other matcher is alive.
 
 Walks from every position would make the scan quadratic on text that keeps a
 walk alive without completing a match, such as ``a``×n under ``/a*b/``.  So
@@ -116,7 +115,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
             partial = live != all_live
         elif not live:
             continue
-        state = automaton.start
+        state = automaton.start or automaton.make_start()
         nxt = state.next.get(classes[i])
         if not nxt:  # None: not computed yet; False: no match starts here
             if nxt is None:

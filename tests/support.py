@@ -110,7 +110,7 @@ def walk_longest(automaton, text: str, pos: int, live: int) -> list[tuple[int, i
     matcher in ``live`` is alive, and keeps each such matcher's last
     accepting length.  The text is translated to classes in chunks that
     double, so a walk translates no more than twice what it reads."""
-    state = automaton.start
+    state = automaton.start or automaton.make_start()
     lengths = {}
     length, chunk = 0, 16
     while pos + length < len(text):

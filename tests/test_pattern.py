@@ -185,7 +185,7 @@ def test_compile_builds_no_dfa_state():
     p = compile_pattern(r"(-|\+)?[0-9]+\.[0-9]+")
     assert not hasattr(p, "_dfa")  # a pattern is its NFA alone
     automaton = pattern.union([p])
-    assert automaton._dfa == {}
+    assert automaton._dfa == {} and automaton.start is None
     assert support.walk_longest(automaton, "1.5", 0, 1) == [(0, 3)]
     assert automaton._dfa and automaton._dfa[automaton.start.nfa] is automaton.start
 
@@ -243,7 +243,7 @@ def test_dfa_cache_is_bounded_and_answers_survive_flushes():
     for pos in (0, 1, 2, 5000, 11980):
         assert _longest(automaton, text, pos) == oracles.match_longest_oracle(p, text, pos), pos
         # After a flush the next query starts from a fresh state, never an old one.
-        assert automaton._dfa.get(automaton.start.nfa) is automaton.start
+        assert automaton.start is None or automaton._dfa.get(automaton.start.nfa) is automaton.start
     assert cache.clears >= 1
     assert cache.largest == pattern._DFA_CACHE_LIMIT
 
@@ -269,6 +269,27 @@ def test_union_walk_gives_every_live_matchers_longest_match(monkeypatch, cache_l
                 [p.source for p in patterns], text, pos, live,
             )
         assert len(automaton._dfa) <= cache_limit
+
+
+def test_alive_names_the_matchers_that_own_an_nfa_state():
+    # Matcher k owns an NFA state of the walk's DFA state exactly when its own
+    # NFA, simulated alone on the same text with the oracle's closure, has one.
+    rng = random.Random(20261023)
+    for _ in range(100):
+        patterns = [compile_pattern(support.random_pattern(rng)) for _ in range(rng.randint(1, 5))]
+        automaton = pattern.union(patterns)
+        text = support.random_input(rng, max_length=20)
+        current = [oracles._eps_closure(p, {p._start}) for p in patterns]
+        state = automaton.make_start()
+        for ch, c in zip(text, automaton.classes(text)):
+            assert state.alive == sum(1 << k for k, states in enumerate(current) if states), (patterns, text)
+            state = automaton.step(state, c)
+            current = [oracles._eps_closure(p, {t for s in states for label, t in p._edges[s]
+                                                if oracles._label_matches(label, ch)})
+                       for p, states in zip(patterns, current)]
+            if not state:
+                assert not any(current), (patterns, text)
+                break
 
 
 @pytest.mark.parametrize("cache_limit", [pattern._DFA_CACHE_LIMIT, 2])
