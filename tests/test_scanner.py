@@ -396,6 +396,33 @@ def test_scan_matches_oracle_on_long_walks_under_changing_live_sets(monkeypatch,
         assert len(spec.automaton._dfa) <= cache_limit
 
 
+def test_a_walk_stops_where_no_live_matcher_is_alive(monkeypatch):
+    # w h×(n-1) is one IDENTIFIER.  From every later offset only the keywords
+    # and the ignore pattern are live, and none of them is alive after one
+    # character, so each of those walks reads the one transition it takes,
+    # though IDENTIFIER is still alive in the state it reaches.
+    reads = 0
+
+    class CountedNext(dict):
+        def get(self, c, default=None):
+            nonlocal reads
+            reads += 1
+            return super().get(c, default)
+
+    class CountedState(pattern._DState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.next = CountedNext()
+
+    monkeypatch.setattr(pattern, "_DState", CountedState)
+    spec = parse_lex_spec(support.RESERVED_SPEC_SHARED)
+    n = 1000
+    text = "w" + "h" * (n - 1)
+    assert _tuples(scan(spec, text)) == [(0, "IDENTIFIER", text, 0, n - 1)]
+    misses = sum(len(s.next) for s in spec.automaton._dfa.values())  # `step` reads ``next`` once more on each
+    assert reads == n + (n - 1) + misses, (reads, misses)
+
+
 def test_automaton_is_built_by_the_first_scan_and_kept():
     spec = parse_lex_spec(support.numbers_spec_text())
     assert "automaton" not in vars(spec)
