@@ -158,6 +158,7 @@ class Automaton:
 
     def step(self, state: _DState, c: str) -> _DState | bool:
         """The state ``state`` moves to on class ``c``; False when no NFA state is left.
+
         Computed on the class's first character and kept in ``state.next``,
         which a walk reads first, calling this only on a miss."""
         nxt = state.next.get(c)

@@ -109,7 +109,8 @@ def walk_longest(automaton, text: str, pos: int, live: int) -> list[tuple[int, i
     character class at a time, through `Automaton.step` alone, until no
     matcher in ``live`` is alive, and keeps each such matcher's last
     accepting length.  The text is translated to classes in chunks that
-    double, so a walk translates no more than twice what it reads."""
+    double from 16 characters, so a walk translates at most twice what it
+    reads, or 16 characters."""
     state = automaton.start or automaton.make_start()
     lengths = {}
     length, chunk = 0, 16
