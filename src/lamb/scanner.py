@@ -12,7 +12,10 @@ tried again.  After a match the watermark moves to the match end, lowered to
 any other matcher's watermark falling inside the match; matchers of strictly
 lower precedence are dragged forward to the same offset.  That is what keeps,
 say, a keyword's characters from re-matching as an identifier suffix while
-still letting genuinely overlapping alternatives coexist.
+still letting genuinely overlapping alternatives coexist.  A new watermark
+is thus never above the smallest pending one (at or past the position), so
+the pending watermarks are one stack, smallest on top: a match pushes its
+end or joins the top, at a cost that does not grow with the matchers.
 
 The matching itself is one walk per position over the DFA states of the spec's
 automaton (`LexSpec.automaton`, built by the first scan), which `scan` steps
@@ -82,27 +85,24 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     automaton = spec.automaton
     step = automaton.step
     classes = automaton.classes(text)  # walks read classes; token texts slice ``text``
-    # Per matcher: priority (0 = ignored), token name, watermark, and where
-    # its suffix of strictly lower precedence starts.
+    # Per matcher: priority (0 = ignored) and token name.
     priorities = [d.priority for d in defs]
     names = [d.name if d.priority else None for d in defs]
     m = len(defs)
-    marks = [-1] * m
-    lower = [bisect_right(priorities, p) for p in priorities]
-    # Bits of the matchers a match of matcher k drags along, its
-    # lower-precedence suffix, and of those it moves past i: that suffix and
-    # k itself.
-    dragged = [(1 << m) - (1 << lo) for lo in lower]
-    moved = [1 << k | dragged[k] for k in range(m)]
+    # Bits of the matchers a match of matcher k moves past i: k itself and
+    # those of strictly lower precedence, which it drags along.
+    moved = [1 << k | (1 << m) - (1 << bisect_right(priorities, p)) for k, p in enumerate(priorities)]
     kept = [~bits for bits in moved]
     tokens: list[Token] = []
     ignored: list[tuple[int, int]] = []
     new_token = tuple.__new__  # a Token from the tuple of its fields, without the named tuple's __new__
     n = len(text)
     all_live = live = (1 << m) - 1  # live: the matchers whose watermark is below i
-    # By offset: the matchers whose watermark lies just before it.  Each
-    # matcher outside ``live`` is in exactly one entry, that of its watermark.
-    wake_at = [0] * (n + 1)
+    # The pending watermarks, those at or past i, are a stack: on top
+    # ``mark`` and ``held``, the matchers it holds back, then ``below``, the
+    # rest as nested (mark, held, below) triples, down to a sentinel n that
+    # no match end reaches.
+    mark, held, below = n, 0, None
     # Reps's memo: per pair (DFA state, offset), kept as ``state.id * stride +
     # offset``, the bits of the matchers that accept nowhere a walk from it reaches.
     failed: dict[int, int] = {}
@@ -110,8 +110,9 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     stride = n + 1
     partial = False  # live != all_live; else every state has a live matcher alive
     for i in range(n):
-        if wake_at[i]:
-            live |= wake_at[i]
+        if mark < i:  # mark is i - 1: its matchers are live again
+            live |= held
+            mark, held, below = below
             partial = live != all_live
         elif not live:
             continue
@@ -169,29 +170,28 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                 for k in earlier_accepts:
                     ends.setdefault(k, earlier_end)
             accepts = sorted(ends)
+        cut = priorities[-1]  # after a match at i: its priority, past which all are dragged
         for k in accepts:
-            if marks[k] >= i:
-                continue  # dragged past i by a match of higher precedence
+            if not live >> k & 1:  # its watermark is at or past i
+                if priorities[k] > cut:
+                    break  # dragged by the match at i, as are all after it
+                continue
             last = (end if earlier is None else ends[k]) - 1
-            new_mark = last
-            if partial:  # else no watermark is at or past i
-                for mark in marks:
-                    if i <= mark < new_mark:
-                        new_mark = mark
-            marks[k] = new_mark
-            # Dragging the lower-precedence suffix to new_mark >= i also
-            # keeps it from matching at i.
-            lo = lower[k]
-            if lo < m:
-                waiting = dragged[k] & ~live  # already past i: their wake moves to new_mark + 1
-                while waiting:
-                    bit = waiting & -waiting
-                    wake_at[marks[bit.bit_length() - 1] + 1] &= ~bit
-                    waiting ^= bit
-                marks[lo:] = [new_mark] * (m - lo)
+            # A matcher dragged to a lower watermark keeps its bit at the old
+            # one.  That is harmless: no watermark is set above the top, so a
+            # matcher's never lies above an entry holding its bit, and it is
+            # live again when such a stale entry is popped.  An entry of live
+            # matchers only holds none back and must lower nothing: pop it first.
+            while last >= mark and not held & ~live:
+                mark, held, below = below
+            if last < mark:
+                below = (mark, held, below)
+                mark, held = last, moved[k]
+            else:  # the top lies inside the match: it is the new watermark
+                held |= moved[k]
             live &= kept[k]
             partial = True
-            wake_at[new_mark + 1] |= moved[k]
+            cut = priorities[k]
             if priorities[k]:
                 tokens.append(new_token(Token, (len(tokens), names[k], text[i:last + 1], i, last)))
             else:

@@ -267,6 +267,49 @@ def test_criterion_8_scan_is_linear_on_one_long_identifier():
             ratio <= 6.25, detail)
 
 
+def test_criterion_8_scan_per_token_does_not_grow_with_the_definitions():
+    # Under m definitions /a/ of one priority, every offset of a×300 gives m
+    # tokens, each of which joins the first one's watermark.  4x the
+    # definitions is 4x the tokens; a scan that paid per token for every
+    # definition would grow 16x.
+    text = "a" * 300
+    specs = {m: parse_lex_spec("".join(f"token T{j} 1 /a/\n" for j in range(m))) for m in (50, 200)}
+    for m, spec in specs.items():
+        assert len(scan(spec, text).tokens) == m * 300
+    ratio, detail = _growth(_best_times({m: lambda spec=spec: scan(spec, text) for m, spec in specs.items()}))
+    _report(8, "m definitions of /a/ on a×300: 4x the definitions grows the scan by at most 6.25x",
+            ratio <= 6.25, detail)
+
+
+def _keywords_and_words(count):
+    """A spec of ``count`` literal keywords, ``/[a-z]+/`` and ignored spaces,
+    and 4,000 words for it, 30% of them keywords."""
+    rng = random.Random(count)
+
+    def word():
+        return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(rng.randint(3, 9)))
+
+    keywords = set()
+    while len(keywords) < count:
+        keywords.add(word())
+    keywords = sorted(keywords)
+    spec = parse_lex_spec("".join(f"token K{j} 1 /{w}/\n" for j, w in enumerate(keywords))
+                          + "token IDENTIFIER 1 /[a-z]+/\nignore / +/\n")
+    return spec, " ".join(rng.choice(keywords) if rng.random() < 0.3 else word() for _ in range(4000))
+
+
+def test_criterion_8_scan_per_character_grows_slowly_with_the_keywords():
+    cases = {count: _keywords_and_words(count) for count in (64, 1024)}
+    for spec, text in cases.values():
+        scan(spec, text)  # builds the DFA states the timed scans read
+    best = _best_times({count: lambda spec=spec, text=text: scan(spec, text)
+                        for count, (spec, text) in cases.items()})
+    per_char = {count: best[count] / len(text) for count, (_, text) in cases.items()}
+    ratio = per_char[1024] / per_char[64]
+    _report(8, "64 to 1,024 keywords grows the warm scan per character by at most 3x", ratio <= 3.0,
+            f"x{ratio:.2f} ({per_char[64] * 1e6:.2f} -> {per_char[1024] * 1e6:.2f} µs per character)")
+
+
 def test_criterion_10_packed_ambiguity():
     spec = parse_lex_spec("token x 1 /x/\n")
     grammar = parse_grammar("E ::= E E | x\n", spec)
