@@ -10,10 +10,11 @@ A pattern compiles to a small Thompson-style NFA, and `Pattern` is that NFA
 alone.  Its edge labels have one shape, ``(ranges, negated)``: a literal
 ``c`` is ``(((c, c),), False)``, a class keeps its ranges as written, and
 ``.`` is `_ANY`.  `union` puts one or more patterns, the matchers, into one
-`Automaton` with one DFA, as RE2's ``Set`` does.  Each DFA state records
-which matchers accept in it and which are alive in it, so one walk from the
-one start state gives the longest match of every matcher, and can stop where
-none that it wants is alive: that is how the scanner tries a whole spec.
+`Automaton` with one DFA, as RE2's ``Set`` does.  Each DFA state records, as
+bitmasks, which matchers accept in it and which are alive in it, so one walk
+from the one start state gives the longest match of every matcher it wants,
+keeping only their accepts, and stops where none of them is alive: that is
+how the scanner tries a whole spec.
 
 The automaton's DFA is built lazily by subset construction (Thompson, 1968;
 Cox, "Regular Expression Matching Can Be Simple And Fast", 2007): a DFA state
@@ -96,19 +97,20 @@ class _DState:
     """One DFA state: a set of NFA states and its transitions found so far.
 
     ``next`` maps a character class, as `Automaton.classes` writes it, to the
-    state this one moves to on the characters of that class.  ``alive`` has
-    bit ``k`` set when matcher ``k`` owns an NFA state of the set.  ``id``
-    numbers the states of one automaton in the order they were made, never
-    reusing a number, so a caller can key what it learns of a state by ``id``
-    without keeping the state alive past a flush of the cache.
+    state this one moves to on the characters of that class.  Bit ``k`` of
+    ``accepts`` is set when matcher ``k``'s accept state is in the set, and of
+    ``alive`` when matcher ``k`` owns an NFA state of the set.  ``id`` numbers
+    the states of one automaton in the order they were made, never reusing a
+    number, so a caller can key what it learns of a state by ``id`` without
+    keeping the state alive past a flush of the cache.
     """
 
     __slots__ = ("nfa", "accepts", "alive", "next", "id")
 
-    def __init__(self, nfa: frozenset[int], accepts: tuple[int, ...], alive: int, id: int):
+    def __init__(self, nfa: frozenset[int], accepts: int, alive: int, id: int):
         self.id = id
         self.nfa = nfa
-        self.accepts = accepts  # matchers whose accept state is in ``nfa``, ascending
+        self.accepts = accepts
         self.alive = alive
         self.next: dict[str, _DState | bool] = {}  # False: the empty set, no match beyond
 
@@ -119,9 +121,10 @@ class Automaton:
     Every walk takes the one start state ``start``, the ε-closure of all the
     matchers' NFA start states, and moves on by the class ``c`` of each
     character, from `classes`: ``state.next.get(c)``, or `step` where that
-    is not known yet.  ``state.accepts`` lists the matchers whose match ends
-    where the walk stands.  The walk is over at a False state, or, if it
-    wants only the matchers of a bitmask ``live``, where ``alive & live`` is 0.
+    is not known yet.  ``state.accepts`` masks the matchers whose match ends
+    where the walk stands.  A walk that wants the matchers of a mask ``live``
+    keeps ``accepts & live``, and is over at a False state or where
+    ``alive & live`` is 0.
 
     ``_dfa`` maps each NFA state set to its DFA state: a cache that only
     gains states equal by content to ones it could have built, or is emptied
@@ -138,7 +141,7 @@ class Automaton:
         self._edges = edges
         self._eps = eps
         self._heads = heads  # the NFA start state of each matcher
-        self._accepting = accepting  # NFA accept state -> its matcher
+        self._accepting = accepting  # the NFA accept states, one per matcher
         self._owners = owners  # NFA state -> the bit of its matcher
         self._dfa: dict[frozenset[int], _DState] = {}
         self._bounds = _class_bounds(edges)
@@ -184,7 +187,7 @@ class Automaton:
             if len(self._dfa) >= _DFA_CACHE_LIMIT:
                 self._clear()
             accepting, owners = self._accepting, self._owners
-            accepts = tuple(sorted(accepting[s] for s in nfa if s in accepting))
+            accepts = sum(owners[s] for s in nfa if s in accepting)  # one accept state per matcher
             alive = sum({owners[s] for s in nfa})  # each owner's one bit, once
             state = self._dfa[nfa] = _DState(nfa, accepts, alive, self._made)
             self._made += 1
@@ -242,14 +245,14 @@ def union(patterns: list[Pattern]) -> Automaton:
     edges: list[tuple] = []
     eps: list[tuple[int, ...]] = []
     heads = []
-    accepting = {}
+    accepting = set()
     owners: list[int] = []
     for k, p in enumerate(patterns):
         base = len(edges)
         edges += [tuple((label, t + base) for label, t in out) for out in p._edges]
         eps += [tuple(t + base for t in out) for out in p._eps]
         heads.append(p._start + base)
-        accepting[p._accept + base] = k
+        accepting.add(p._accept + base)
         owners += [1 << k] * len(p._edges)
     return Automaton(edges, eps, tuple(heads), accepting, owners)
 

@@ -21,10 +21,10 @@ The matching itself is one walk per position over the DFA states of the spec's
 automaton (`LexSpec.automaton`, built by the first scan), which `scan` steps
 through inline: from the automaton's one start state, one ``next`` lookup per
 character, keyed by its class in the text's `Automaton.classes`, and
-`Automaton.step` only where a transition is not known yet.  The walk notes
-where each matcher accepts, which gives every longest match at once.  The
-rules above run over those ends, passing over the matchers whose watermark is
-at or past the position; the walk stops where no other matcher is alive.
+`Automaton.step` only where a transition is not known yet.  Every set of
+matchers is one bitmask.  The walk keeps only the accepts of live matchers,
+those whose watermark is below the position, and notes where each accepts;
+it stops where no live matcher is alive.  The rules above run over those ends.
 
 Walks from every position would make the scan quadratic on text that keeps a
 walk alive without completing a match, such as ``a``×n under ``/a*b/``.  So
@@ -97,7 +97,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     ignored: list[tuple[int, int]] = []
     new_token = tuple.__new__  # a Token from the tuple of its fields, without the named tuple's __new__
     n = len(text)
-    all_live = live = (1 << m) - 1  # live: the matchers whose watermark is below i
+    live = (1 << m) - 1  # the matchers whose watermark is below i
     # The pending watermarks, those at or past i, are a stack: on top
     # ``mark`` and ``held``, the matchers it holds back, then ``below``, the
     # rest as nested (mark, held, below) triples, down to a sentinel n that
@@ -108,12 +108,10 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     failed: dict[int, int] = {}
     passed: list[int] = []  # pairs of the current walk since a live matcher last accepted
     stride = n + 1
-    partial = False  # live != all_live; else every state has a live matcher alive
     for i in range(n):
         if mark < i:  # mark is i - 1: its matchers are live again
             live |= held
             mark, held, below = below
-            partial = live != all_live
         elif not live:
             continue
         state = automaton.start or automaton.make_start()
@@ -123,13 +121,13 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                 nxt = step(state, classes[i])
             if not nxt:
                 continue
-        if partial and not nxt.alive & live:
+        if not nxt.alive & live:
             continue  # no live matcher gets past i
         state = nxt  # the walk holds no start state
-        # Walk on from i + 1.  ``accepts`` are the matchers accepting at
-        # ``end``, the latest accepting offset; ``earlier`` keeps the
+        # Walk on from i + 1.  ``accepts`` are the live matchers accepting at
+        # ``end``, the latest offset where one does; ``earlier`` keeps the
         # (accepts, end) of earlier stretches, when they differ.
-        accepts = state.accepts
+        accepts = state.accepts & live
         end = j = i + 1
         earlier = None
         memo_from = i + _MEMO_AFTER
@@ -145,38 +143,37 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                     nxt = step(state, classes[j])
                 if not nxt:
                     break
-            if partial and not nxt.alive & live:
+            if not nxt.alive & live:
                 break  # no live matcher accepts beyond j
             state = nxt
             j += 1
-            if state.accepts:
-                if passed and (not partial or any(live >> k & 1 for k in state.accepts)):
+            found = state.accepts & live
+            if found:
+                if passed:
                     passed.clear()
-                if state.accepts != accepts:
+                if found != accepts:
                     if accepts:
                         if earlier is None:
                             earlier = []
                         earlier.append((accepts, end))
-                    accepts = state.accepts
+                    accepts = found
                 end = j
         if passed:
             failed.update({key: failed.get(key, 0) | live for key in passed})
             passed.clear()
         if not accepts:
             continue
-        if earlier is not None:  # each matcher ends where it accepted last
-            ends = dict.fromkeys(accepts, end)
-            for earlier_accepts, earlier_end in reversed(earlier):
-                for k in earlier_accepts:
-                    ends.setdefault(k, earlier_end)
-            accepts = sorted(ends)
-        cut = priorities[-1]  # after a match at i: its priority, past which all are dragged
-        for k in accepts:
-            if not live >> k & 1:  # its watermark is at or past i
-                if priorities[k] > cut:
-                    break  # dragged by the match at i, as are all after it
-                continue
-            last = (end if earlier is None else ends[k]) - 1
+        matched = accepts
+        if earlier is not None:
+            for stretch, _ in earlier:
+                matched |= stretch
+        # Lowest bit first is precedence order.  What a match drags leaves live, and so matched.
+        while matched:
+            bit = matched & -matched
+            k = bit.bit_length() - 1
+            last = end - 1
+            if earlier is not None and not accepts & bit:  # it accepted last in an earlier stretch
+                last = next(stretch_end for stretch, stretch_end in reversed(earlier) if stretch & bit) - 1
             # A matcher dragged to a lower watermark keeps its bit at the old
             # one.  That is harmless: no watermark is set above the top, so a
             # matcher's never lies above an entry holding its bit, and it is
@@ -190,8 +187,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
             else:  # the top lies inside the match: it is the new watermark
                 held |= moved[k]
             live &= kept[k]
-            partial = True
-            cut = priorities[k]
+            matched &= live
             if priorities[k]:
                 tokens.append(new_token(Token, (len(tokens), names[k], text[i:last + 1], i, last)))
             else:

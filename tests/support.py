@@ -120,8 +120,8 @@ def walk_longest(automaton, text: str, pos: int, live: int) -> list[tuple[int, i
             if not state or not state.alive & live:
                 return sorted(lengths.items())
             length += 1
-            for k in state.accepts:
-                if live >> k & 1:
+            for k in range(live.bit_length()):
+                if (state.accepts & live) >> k & 1:
                     lengths[k] = length
         chunk *= 2
     return sorted(lengths.items())

@@ -310,6 +310,26 @@ def test_criterion_8_scan_per_character_grows_slowly_with_the_keywords():
             f"x{ratio:.2f} ({per_char[64] * 1e6:.2f} -> {per_char[1024] * 1e6:.2f} µs per character)")
 
 
+def test_criterion_8_scan_per_character_does_not_grow_with_a_priority_ladder():
+    # A ladder of R rungs, ``token Tj <j+1> /[a-z]+/``, plus ignored spaces:
+    # every rung accepts at every letter of a word, and the one token T0
+    # drags all the other rungs past the word.  A walk that carried each
+    # accepting rung, or an accept loop that passed over each, would grow
+    # with R.  Both ladders scan the same text, so the time ratio is the
+    # ratio per character.
+    rng = random.Random(2026)
+    text = " ".join("".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(rng.randint(3, 9)))
+                    for _ in range(4000))
+    specs = {rungs: parse_lex_spec("".join(f"token T{j} {j + 1} /[a-z]+/\n" for j in range(rungs))
+                                   + "ignore / +/\n")
+             for rungs in (64, 1024)}
+    for spec in specs.values():
+        assert len(scan(spec, text).tokens) == 4000  # and builds the DFA states the timed scans read
+    ratio, detail = _growth(_best_times({rungs: lambda spec=spec: scan(spec, text) for rungs, spec in specs.items()}))
+    _report(8, "a ladder of 64 to 1,024 priorities grows the warm scan per character by at most 2x",
+            ratio <= 2.0, detail)
+
+
 def test_criterion_10_packed_ambiguity():
     spec = parse_lex_spec("token x 1 /x/\n")
     grammar = parse_grammar("E ::= E E | x\n", spec)

@@ -273,7 +273,8 @@ def test_union_walk_gives_every_live_matchers_longest_match(monkeypatch, cache_l
 
 def test_alive_names_the_matchers_that_own_an_nfa_state():
     # Matcher k owns an NFA state of the walk's DFA state exactly when its own
-    # NFA, simulated alone on the same text with the oracle's closure, has one.
+    # NFA, simulated alone on the same text with the oracle's closure, has one,
+    # and accepts in it exactly when that set holds its accept state.
     rng = random.Random(20261023)
     for _ in range(100):
         patterns = [compile_pattern(support.random_pattern(rng)) for _ in range(rng.randint(1, 5))]
@@ -283,6 +284,8 @@ def test_alive_names_the_matchers_that_own_an_nfa_state():
         state = automaton.make_start()
         for ch, c in zip(text, automaton.classes(text)):
             assert state.alive == sum(1 << k for k, states in enumerate(current) if states), (patterns, text)
+            assert state.accepts == sum(1 << k for k, (p, states) in enumerate(zip(patterns, current))
+                                        if p._accept in states), (patterns, text)
             state = automaton.step(state, c)
             current = [oracles._eps_closure(p, {t for s in states for label, t in p._edges[s]
                                                 if oracles._label_matches(label, ch)})
