@@ -86,6 +86,8 @@ def _read(path: str) -> str:
     """The file's or stdin's bytes as UTF-8, line endings kept, so that token
     offsets count the same characters whichever way the input arrives."""
     if path == "-":
+        if sys.stdin is None:  # Python's stdin when file descriptor 0 is closed
+            raise OSError("-: stdin is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as f:

@@ -17,14 +17,16 @@ is thus never above the smallest pending one (at or past the position), so
 the pending watermarks are one stack, smallest on top: a match pushes its
 end or joins the top, at a cost that does not grow with the matchers.
 
+The spec keeps, per matcher, its definition and what a match of it drags
+(`LexSpec.matchers`), so a scan builds nothing per call but the class string.
 The matching itself is one walk per position over the DFA states of the spec's
-automaton (`LexSpec.automaton`, built by the first scan), which `scan` steps
-through inline: from the automaton's one start state, one ``next`` lookup per
-character, keyed by its class in the text's `Automaton.classes`, and
-`Automaton.step` only where a transition is not known yet.  Every set of
-matchers is one bitmask.  The walk keeps only the accepts of live matchers,
-those whose watermark is below the position, and notes where each accepts;
-it stops where no live matcher is alive.  The rules above run over those ends.
+automaton (`LexSpec.automaton`; both are built by the first scan), stepped
+through inline: from the one start state, one ``next`` lookup per character,
+keyed by its class in the text's `Automaton.classes`, and `Automaton.step`
+only where a transition is not known yet.  Every set of matchers is one
+bitmask.  The walk keeps only the accepts of live matchers, those whose
+watermark is below the position, and notes where each accepts; it stops
+where no live matcher is alive.  The rules above run over those ends.
 
 Walks from every position would make the scan quadratic on text that keeps a
 walk alive without completing a match, such as ``a``×n under ``/a*b/``.  So
@@ -44,7 +46,6 @@ a step, so a scan keeps no state of an emptied cache alive.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_string
 from typing import NamedTuple
@@ -81,23 +82,15 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     precedence), with ids assigned sequentially from 0.  Characters nothing
     matches are simply passed over; `uncovered_spans` reports them.
     """
-    defs = spec.by_precedence  # matcher k is defs[k], in precedence order
+    matchers = spec.matchers  # matcher k's (definition, ignored, moved, kept), in precedence order
     automaton = spec.automaton
     step = automaton.step
     classes = automaton.classes(text)  # walks read classes; token texts slice ``text``
-    # Per matcher: priority (0 = ignored) and token name.
-    priorities = [d.priority for d in defs]
-    names = [d.name if d.priority else None for d in defs]
-    m = len(defs)
-    # Bits of the matchers a match of matcher k moves past i: k itself and
-    # those of strictly lower precedence, which it drags along.
-    moved = [1 << k | (1 << m) - (1 << bisect_right(priorities, p)) for k, p in enumerate(priorities)]
-    kept = [~bits for bits in moved]
     tokens: list[Token] = []
     ignored: list[tuple[int, int]] = []
     new_token = tuple.__new__  # a Token from the tuple of its fields, without the named tuple's __new__
     n = len(text)
-    live = (1 << m) - 1  # the matchers whose watermark is below i
+    live = (1 << len(matchers)) - 1  # the matchers whose watermark is below i
     # The pending watermarks, those at or past i, are a stack: on top
     # ``mark`` and ``held``, the matchers it holds back, then ``below``, the
     # rest as nested (mark, held, below) triples, down to a sentinel n that
@@ -170,7 +163,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
         # Lowest bit first is precedence order.  What a match drags leaves live, and so matched.
         while matched:
             bit = matched & -matched
-            k = bit.bit_length() - 1
+            d, skip, moved, kept = matchers[bit.bit_length() - 1]
             last = end - 1
             if earlier is not None and not accepts & bit:  # it accepted last in an earlier stretch
                 last = next(stretch_end for stretch, stretch_end in reversed(earlier) if stretch & bit) - 1
@@ -183,16 +176,15 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                 mark, held, below = below
             if last < mark:
                 below = (mark, held, below)
-                mark, held = last, moved[k]
+                mark, held = last, moved
             else:  # the top lies inside the match: it is the new watermark
-                held |= moved[k]
-            live &= kept[k]
+                held |= moved
+            live &= kept
             matched &= live
-            if priorities[k]:
-                tokens.append(new_token(Token, (len(tokens), names[k], text[i:last + 1], i, last)))
-            else:
+            if skip:
                 ignored.append((i, last))
                 break  # an ignored match suppresses everything else here
+            tokens.append(new_token(Token, (len(tokens), d.name, text[i:last + 1], i, last)))
     return ScanResult(tuple(tokens), len(text), tuple(ignored))
 
 

@@ -30,6 +30,7 @@ tokens, a missing start rule or a unit cycle.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
 from . import pattern
@@ -134,16 +135,22 @@ class LexSpec:
     ignore_defs: tuple[IgnoreDef, ...]
 
     @_cached
-    def by_precedence(self) -> tuple[TokenDef | IgnoreDef, ...]:
-        """Every definition in scanning order: priority ascending, ignored
-        patterns first at priority 0, then definition order."""
-        return tuple(sorted([*self.token_defs, *self.ignore_defs], key=lambda d: (d.priority, d.ordinal)))
+    def matchers(self) -> tuple[tuple[TokenDef | IgnoreDef, bool, int, int], ...]:
+        """Matcher ``k``'s row ``(definition, ignored, moved, kept)``, in scanning
+        order: priority ascending, then definition order; ignored means priority
+        0.  A match of ``k`` moves ``k`` past its start and drags along the
+        matchers of strictly lower precedence: ``moved`` holds their bits and
+        ``k``'s, and ``kept`` is ``~moved``.  Built by the first `scan`."""
+        defs = sorted([*self.token_defs, *self.ignore_defs], key=lambda d: (d.priority, d.ordinal))
+        priorities = [d.priority for d in defs]
+        return tuple((d, not d.priority, moved, ~moved) for k, d in enumerate(defs)
+                     for moved in [1 << k | (1 << len(defs)) - (1 << bisect_right(priorities, d.priority))])
 
     @_cached
     def automaton(self) -> pattern.Automaton:
-        """One lazily built DFA over every pattern, matcher ``k`` being
-        ``by_precedence[k]``.  Built on first use, which is the first `scan`."""
-        return pattern.union([d.compiled for d in self.by_precedence])
+        """One lazily built DFA over every pattern, matcher ``k`` being the
+        definition in ``matchers[k]``.  Built on first use, which is the first `scan`."""
+        return pattern.union([d.compiled for d, *_ in self.matchers])
 
     __getstate__ = _fields_only
 

@@ -310,6 +310,21 @@ def test_criterion_8_scan_per_character_grows_slowly_with_the_keywords():
             f"x{ratio:.2f} ({per_char[64] * 1e6:.2f} -> {per_char[1024] * 1e6:.2f} µs per character)")
 
 
+def test_criterion_8_scan_fixed_cost_does_not_grow_with_the_definitions():
+    # K keywords /kNx/, /[a-z]+/ and ignored spaces: 64 and 4,096 definitions.
+    # A warm scan of "ab" reads two characters, so its time is the fixed cost
+    # of a call; a scan that built a table per matcher on each call would
+    # grow with the definitions.
+    specs = {count: parse_lex_spec("".join(f"token K{j} 1 /k{j}x/\n" for j in range(count - 2))
+                                   + "token IDENTIFIER 1 /[a-z]+/\nignore / +/\n")
+             for count in (64, 4096)}
+    for spec in specs.values():
+        assert scan(spec, "ab").tokens == (Token(0, "IDENTIFIER", "ab", 0, 1),)  # and warms the spec
+    ratio, detail = _growth(_best_times({count: lambda spec=spec: scan(spec, "ab") for count, spec in specs.items()},
+                                        repeats=300))
+    _report(8, "64 to 4,096 definitions grows the fixed cost of a warm scan by at most 3x", ratio <= 3.0, detail)
+
+
 def test_criterion_8_scan_per_character_does_not_grow_with_a_priority_ladder():
     # A ladder of R rungs, ``token Tj <j+1> /[a-z]+/``, plus ignored spaces:
     # every rung accepts at every letter of a word, and the one token T0

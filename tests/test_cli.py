@@ -223,6 +223,19 @@ def test_stdin_that_is_not_utf8_is_an_error(files, capsys, monkeypatch):
     assert err == "lamb: error: -: not valid UTF-8 at byte 2\n"
 
 
+@pytest.mark.parametrize("stdin_flag", ["--input", "--spec", "--grammar"])
+def test_closed_stdin_is_an_error(files, capsys, monkeypatch, stdin_flag):
+    # With file descriptor 0 closed, Python starts with sys.stdin set to None.
+    monkeypatch.setattr("sys.stdin", None)
+    argv = ["parse", "--spec", files["spec"], "--grammar", files["grammar"], "--input", files["input"]]
+    argv[argv.index(stdin_flag) + 1] = "-"
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "lamb: error: -: stdin is closed\n"
+
+
 @pytest.mark.parametrize("stdin_flags", [("--spec", "--input"), ("--spec", "--grammar"),
                                          ("--grammar", "--input"), ("--spec", "--grammar", "--input")])
 def test_stdin_for_more_than_one_file_is_an_error(files, capsys, monkeypatch, stdin_flags):

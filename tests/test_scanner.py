@@ -253,7 +253,7 @@ def test_scan_matches_oracle_on_class_boundaries(monkeypatch, cache_limit):
         token_defs = [TokenDef(f"T{j}", rng.randint(1, 3), source, j) for j, source in enumerate(sources)]
         ignore_defs = [IgnoreDef(rng.choice(support._IGNORE_POOL), len(sources))] if rng.random() < 0.5 else []
         spec = LexSpec(tuple(token_defs), tuple(ignore_defs))
-        alphabet = support.boundary_characters(d.compiled for d in spec.by_precedence)
+        alphabet = support.boundary_characters(d.compiled for d in (*token_defs, *ignore_defs))
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         assert scan(spec, text) == scan_oracle(spec, text), (sources, text)
         assert len(spec.automaton._dfa) <= cache_limit

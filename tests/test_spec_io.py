@@ -291,12 +291,14 @@ def test_each_pattern_compiles_once_per_spec(monkeypatch):
 
 def test_scanned_spec_pickles_and_copies():
     # A scan of 3,000 a's builds a chain of 3,000 DFA states, which the spec
-    # keeps with its automaton; copies leave the automaton out.
+    # keeps with its automaton and its matcher tables; copies leave both out.
     spec = parse_lex_spec("token A 1 /" + "a" * 3000 + "/\n")
+    assert "matchers" not in vars(spec)  # built by the first scan, not by the load
     text = "a" * 3000
     scanned = scan(spec, text)
+    assert "matchers" in vars(spec)
     for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
-        assert copied == spec and "automaton" not in vars(copied)
+        assert copied == spec and "automaton" not in vars(copied) and "matchers" not in vars(copied)
         assert scan(copied, text) == scanned
     assert "automaton" in vars(spec)
 
