@@ -197,9 +197,10 @@ def graph_from_json(text: str) -> LexGraph:
     The text must hold exactly the JSON value that `to_json` writes for that
     graph, keys in the same order; only spacing and string escapes may
     differ.  Anything else raises one `ValueError` that names the problem:
-    tokens not numbered ``0, 1, ...`` in ascending start order, a token span
-    that no scan produces, a missing field, a value of the wrong type, or
-    edges or a start set that differ from the rebuilt ones.
+    tokens not numbered ``0, 1, ...`` in ascending start order, an input
+    length or a token span that no scan produces, a missing field, a value
+    of the wrong type, or edges or a start set that differ from the rebuilt
+    ones.
     """
     try:
         data = json.loads(text, parse_float=int)  # int() rejects every float literal
@@ -208,6 +209,8 @@ def graph_from_json(text: str) -> LexGraph:
             for rec in data["tokens"]
         )
         input_length = data["input_length"]
+        if input_length < 0:
+            raise ValueError(f"input_length {input_length} is negative")
         for t in tokens:
             if not (0 <= t.start <= t.end < input_length and len(t.text) == t.end - t.start + 1):
                 raise ValueError(f"token {t.id} ({t}) needs 0 <= start <= end < input_length "

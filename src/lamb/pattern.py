@@ -99,10 +99,11 @@ class _DState:
     ``next`` maps a character class, as `Automaton.classes` writes it, to the
     state this one moves to on the characters of that class.  Bit ``k`` of
     ``accepts`` is set when matcher ``k``'s accept state is in the set, and of
-    ``alive`` when matcher ``k`` owns an NFA state of the set.  ``id`` numbers
-    the states of one automaton in the order they were made, never reusing a
-    number, so a caller can key what it learns of a state by ``id`` without
-    keeping the state alive past a flush of the cache.
+    ``alive`` when matcher ``k`` owns an NFA state of the set; the empty set
+    is the dead state, where both are 0 and every class leads back.  ``id``
+    numbers the states of one automaton in the order they were made, never
+    reusing a number, so a caller can key what it learns of a state by ``id``
+    without keeping the state alive past a flush of the cache.
     """
 
     __slots__ = ("nfa", "accepts", "alive", "next", "id")
@@ -112,7 +113,7 @@ class _DState:
         self.nfa = nfa
         self.accepts = accepts
         self.alive = alive
-        self.next: dict[str, _DState | bool] = {}  # False: the empty set, no match beyond
+        self.next: dict[str, _DState] = {}
 
 
 class Automaton:
@@ -123,16 +124,14 @@ class Automaton:
     character, from `classes`: ``state.next.get(c)``, or `step` where that
     is not known yet.  ``state.accepts`` masks the matchers whose match ends
     where the walk stands.  A walk that wants the matchers of a mask ``live``
-    keeps ``accepts & live``, and is over at a False state or where
-    ``alive & live`` is 0.
+    keeps ``accepts & live``, and is over where ``alive & live`` is 0.
 
     ``_dfa`` maps each NFA state set to its DFA state: a cache that only
     gains states equal by content to ones it could have built, or is emptied
     past ``_DFA_CACHE_LIMIT`` states, so answers never depend on earlier
-    walks.  The automaton alone decides when to empty it, and sets ``start``
-    to None with it, as it is before the first walk; a walk then takes
-    ``start or make_start()``.  A walk that reads ``start`` afresh each time,
-    and holds no state but the one it stands on, keeps no emptied state alive.
+    walks.  The automaton alone decides when to empty it, and makes ``start``
+    anew with it.  A walk that reads ``start`` afresh each time, and holds no
+    state but the one it stands on, keeps no emptied state alive.
     """
 
     __slots__ = ("_edges", "_eps", "_heads", "_accepting", "_owners", "_dfa", "start", "_bounds", "_made")
@@ -146,12 +145,7 @@ class Automaton:
         self._dfa: dict[frozenset[int], _DState] = {}
         self._bounds = _class_bounds(edges)
         self._made = 0  # DFA states made, the next state's id
-        self.start: _DState | None = None
-
-    def make_start(self) -> _DState:
-        """The start state, made and kept as ``start``: a walk calls this where ``start`` is None."""
-        self.start = self._intern(self._closure(self._heads))
-        return self.start
+        self.start: _DState = self._intern(self._closure(heads))
 
     def classes(self, text: str) -> str:
         """``text`` with each character replaced by its class, ``chr(k)`` for class ``k``."""
@@ -159,8 +153,8 @@ class Automaton:
         # A table of the text's own characters lives no longer than the call.
         return text.translate({ord(ch): bisect_right(bounds, ch) for ch in set(text)})
 
-    def step(self, state: _DState, c: str) -> _DState | bool:
-        """The state ``state`` moves to on class ``c``; False when no NFA state is left.
+    def step(self, state: _DState, c: str) -> _DState:
+        """The state ``state`` moves to on class ``c``.
 
         Computed on the class's first character and kept in ``state.next``,
         which a walk reads first, calling this only on a miss."""
@@ -196,13 +190,13 @@ class Automaton:
     def _clear(self) -> None:
         # Old states stay reachable only from a walk still running.
         self._dfa.clear()
-        self.start = None
+        self.start = self._intern(self._closure(self._heads))
 
-    def _subset_step(self, state: _DState, ch: str) -> _DState | bool:
+    def _subset_step(self, state: _DState, ch: str) -> _DState:
         """The DFA state for the NFA states that ``state`` reaches on ``ch``."""
         edges = self._edges
         moved = [target for s in state.nfa for label, target in edges[s] if _label_matches(label, ch)]
-        return self._intern(self._closure(moved)) if moved else False
+        return self._intern(self._closure(moved))
 
 
 class Pattern:
@@ -228,11 +222,11 @@ class Pattern:
         if not 0 <= pos <= n:
             raise ValueError(f"position {pos} outside input of length {n}")
         automaton = union([self])
-        state = automaton.make_start()
+        state = automaton.start
         longest = None
         for length, c in enumerate(automaton.classes(text[pos:]), 1):
             state = automaton.step(state, c)
-            if not state:
+            if not state.alive:
                 break
             if state.accepts:
                 longest = length
@@ -241,7 +235,7 @@ class Pattern:
 
 def union(patterns: list[Pattern]) -> Automaton:
     """One automaton whose matcher ``k`` is ``patterns[k]``, its NFA states
-    numbered after those of ``patterns[:k]``; builds no DFA state."""
+    numbered after those of ``patterns[:k]``; builds its start state only."""
     edges: list[tuple] = []
     eps: list[tuple[int, ...]] = []
     heads = []

@@ -107,13 +107,10 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
             mark, held, below = below
         elif not live:
             continue
-        state = automaton.start or automaton.make_start()
+        state = automaton.start
         nxt = state.next.get(classes[i])
-        if not nxt:  # None: not computed yet; False: no match starts here
-            if nxt is None:
-                nxt = step(state, classes[i])
-            if not nxt:
-                continue
+        if nxt is None:  # not computed yet
+            nxt = step(state, classes[i])
         if not nxt.alive & live:
             continue  # no live matcher gets past i
         state = nxt  # the walk holds no start state
@@ -131,11 +128,8 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                     break  # no live matcher accepts beyond j
                 passed.append(key)
             nxt = state.next.get(classes[j])
-            if not nxt:
-                if nxt is None:
-                    nxt = step(state, classes[j])
-                if not nxt:
-                    break
+            if nxt is None:
+                nxt = step(state, classes[j])
             if not nxt.alive & live:
                 break  # no live matcher accepts beyond j
             state = nxt

@@ -111,13 +111,13 @@ def walk_longest(automaton, text: str, pos: int, live: int) -> list[tuple[int, i
     accepting length.  The text is translated to classes in chunks that
     double from 16 characters, so a walk translates at most twice what it
     reads, or 16 characters."""
-    state = automaton.start or automaton.make_start()
+    state = automaton.start
     lengths = {}
     length, chunk = 0, 16
     while pos + length < len(text):
         for c in automaton.classes(text[pos + length:pos + length + chunk]):
             state = automaton.step(state, c)
-            if not state or not state.alive & live:
+            if not state.alive & live:
                 return sorted(lengths.items())
             length += 1
             for k in range(live.bit_length()):

@@ -185,7 +185,7 @@ def test_compile_builds_no_dfa_state():
     p = compile_pattern(r"(-|\+)?[0-9]+\.[0-9]+")
     assert not hasattr(p, "_dfa")  # a pattern is its NFA alone
     automaton = pattern.union([p])
-    assert automaton._dfa == {} and automaton.start is None
+    assert automaton._dfa == {automaton.start.nfa: automaton.start}
     assert support.walk_longest(automaton, "1.5", 0, 1) == [(0, 3)]
     assert automaton._dfa and automaton._dfa[automaton.start.nfa] is automaton.start
 
@@ -237,13 +237,13 @@ def test_dfa_cache_is_bounded_and_answers_survive_flushes():
     # visits more of them than the cache keeps.
     p = compile_pattern("(a|b)*a" + "(a|b)" * 12)
     automaton = pattern.union([p])
-    automaton._dfa = cache = _WatchedCache()
+    automaton._dfa = cache = _WatchedCache(automaton._dfa)  # the start state stays cached
     rng = random.Random(7)
     text = "".join(rng.choice("ab") for _ in range(12000))
     for pos in (0, 1, 2, 5000, 11980):
         assert _longest(automaton, text, pos) == oracles.match_longest_oracle(p, text, pos), pos
         # After a flush the next query starts from a fresh state, never an old one.
-        assert automaton.start is None or automaton._dfa.get(automaton.start.nfa) is automaton.start
+        assert automaton._dfa.get(automaton.start.nfa) is automaton.start
     assert cache.clears >= 1
     assert cache.largest == pattern._DFA_CACHE_LIMIT
 
@@ -281,7 +281,7 @@ def test_alive_names_the_matchers_that_own_an_nfa_state():
         automaton = pattern.union(patterns)
         text = support.random_input(rng, max_length=20)
         current = [oracles._eps_closure(p, {p._start}) for p in patterns]
-        state = automaton.make_start()
+        state = automaton.start
         for ch, c in zip(text, automaton.classes(text)):
             assert state.alive == sum(1 << k for k, states in enumerate(current) if states), (patterns, text)
             assert state.accepts == sum(1 << k for k, (p, states) in enumerate(zip(patterns, current))
@@ -290,8 +290,11 @@ def test_alive_names_the_matchers_that_own_an_nfa_state():
             current = [oracles._eps_closure(p, {t for s in states for label, t in p._edges[s]
                                                 if oracles._label_matches(label, ch)})
                        for p, states in zip(patterns, current)]
-            if not state:
+            if not state.alive:
                 assert not any(current), (patterns, text)
+                # The empty set is one interned state, the dead state, and steps to itself.
+                assert state.accepts == 0 and automaton._dfa[frozenset()] is state
+                assert automaton.step(state, c) is state
                 break
 
 

@@ -276,7 +276,7 @@ def test_scan_matches_oracle_on_unvalidated_priorities():
 
 
 def test_automaton_stays_bounded_on_many_distinct_characters():
-    # Every character leads the one state to the empty set: no new state,
+    # Every character leads the start state to the dead state: one new state,
     # and no transition per character, since a state keeps one per class.
     spec = parse_lex_spec("token Integer 1 /[0-9]+/\n")
     text = "".join(map(chr, range(0x20000, 0x20000 + 57952)))  # ideographs of plane 2

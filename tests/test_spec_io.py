@@ -294,6 +294,7 @@ def test_scanned_spec_pickles_and_copies():
     # keeps with its automaton and its matcher tables; copies leave both out.
     spec = parse_lex_spec("token A 1 /" + "a" * 3000 + "/\n")
     assert "matchers" not in vars(spec)  # built by the first scan, not by the load
+    assert "automaton" not in vars(spec)
     text = "a" * 3000
     scanned = scan(spec, text)
     assert "matchers" in vars(spec)
