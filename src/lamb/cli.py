@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import Decimal
 from functools import cache, lru_cache
@@ -117,24 +118,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def run(argv: list[str]) -> int:
     try:
         args = _parse_args(argv)
-    except _UsageError as exc:
-        print(f"lamb: error: {exc}", file=sys.stderr)
-        return 1
-    if args.command == "sequences" and args.limit < 1:
-        print("lamb: error: --limit must be >= 1", file=sys.stderr)
-        return 1
-    if [args.spec, args.input, getattr(args, "grammar", None)].count("-") > 1:
-        print("lamb: error: only one of --spec, --grammar and --input can be - (stdin)", file=sys.stderr)
-        return 1
-
-    try:
+        if args.command == "sequences" and args.limit < 1:
+            raise _UsageError("--limit must be >= 1")
+        if [args.spec, args.input, getattr(args, "grammar", None)].count("-") > 1:
+            raise _UsageError("only one of --spec, --grammar and --input can be - (stdin)")
         spec_text = _read(args.spec)
         spec = _load_spec(spec_text)
         grammar = None
         if args.command == "parse":
             grammar = _load_grammar(_read(args.grammar), spec_text)
         text = _read(args.input)
-    except (OSError, spec_io.SpecError) as exc:
+    except (_UsageError, OSError, spec_io.SpecError) as exc:
         print(f"lamb: error: {exc}", file=sys.stderr)
         return 1
 
@@ -198,7 +192,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    if sys.stdout is None:  # Python's stdout when file descriptor 1 is closed
+        sys.exit("lamb: error: stdout is closed")
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()  # a reader that closed stdout shows here at the latest
+    except BrokenPipeError:  # as the Python docs advise: stdout to devnull, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit("lamb: error: stdout is closed")
+    sys.exit(status)
 
 
 if __name__ == "__main__":

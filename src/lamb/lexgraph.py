@@ -7,9 +7,9 @@ tokens do.  Tokens with no predecessor form the start set; every maximal path
 through the following-relation is one possible tokenization of the input.
 
 A graph holds its tokens, their starts and the suffix minima of their ends,
-and nothing else.  The edges are views of those two lists, computed the first
-time something reads them: `to_dot`, `enumerate_sequences` and
-`count_sequences` do; `to_json` and `parser.parse` read only the two lists.
+and nothing else.  Every query, here and in `parser.parse`, reads a token's
+successors as its `window`, a range of ids.  The edge lists `following` and
+`start_set` exist for ``--oracle-check`` and outside readers.
 """
 
 from __future__ import annotations
@@ -47,10 +47,9 @@ class LexGraph:
     starting after ``a`` ends (infinite when none does): every token starting
     after ``a`` ends and ending before ``b`` starts would sit strictly between
     them.  A position in ``starts`` is a token id, so the tokens that follow
-    one are a range of ids, its `window`.
+    one are a range of ids, its `window`, and lamb's queries read only that.
 
-    The edges are computed from the two lists on first read, then kept.  Two
-    graphs are equal when their tokens and input lengths are: the edges
+    Two graphs are equal when their tokens and input lengths are: the edges
     follow from the tokens.
     """
 
@@ -78,41 +77,37 @@ class LexGraph:
     @cached_property
     def following(self) -> tuple[tuple[int, ...], ...]:
         """Per token id, the ids that follow it: the slice of ids in
-        ``window(end)``, one tuple per distinct end."""
+        ``window(end)``, one tuple per distinct end.  Computed on first read
+        and kept; only ``--oracle-check`` and outside readers read it."""
         ids = tuple(range(len(self.tokens)))
         by_end = {end: ids[slice(*self.window(end))] for end in {t.end for t in self.tokens}}
         return tuple([by_end[t.end] for t in self.tokens])
 
     @cached_property
     def start_set(self) -> tuple[int, ...]:
-        """The tokens that follow none: all that start at or before the
-        smallest end, the ids in ``window(-1)``."""
+        """The tokens that follow none, the ids in ``window(-1)``; kept like `following`."""
         return tuple(range(self.window(-1)[1]))
 
 
 def build_graph(result: ScanResult) -> LexGraph:
-    """The graph of ``result``'s tokens, numbered in start order as
-    `scanner.scan` emits them.  It builds only the starts and suffix minima,
-    in O(T log T) for T tokens; the edges cost O(T log T + E) for E edges
-    when first read."""
+    """The graph of ``result``'s tokens, numbered in start order as `scanner.scan`
+    emits them.  It builds only the starts and suffix minima, in O(T log T) for T tokens."""
     return LexGraph(result.tokens, result.input_length)
 
 
 def _iter_paths(g: LexGraph):
-    """All maximal paths (start-set token to sink), lexicographic by token id."""
-    following = g.following
-    for s in g.start_set:
-        path, iters = [s], [iter(following[s])]
-        while iters:
-            nxt = next(iters[-1], None)
-            if nxt is not None:
-                path.append(nxt)
-                iters.append(iter(following[nxt]))
-                continue
-            if not following[path[-1]]:
-                yield path.copy()
+    """All maximal paths, lexicographic by token id, from the start set ``window(-1)``."""
+    path, iters = [None], [iter(range(*g.window(-1)))]  # path[0] stands for the start set
+    while iters:
+        nxt = next(iters[-1], None)
+        if nxt is None:
             iters.pop()
             path.pop()
+        elif successors := range(*g.window(g.tokens[nxt].end)):
+            path.append(nxt)
+            iters.append(iter(successors))
+        else:
+            yield [*path[1:], nxt]
 
 
 def enumerate_sequences(g: LexGraph, limit: int) -> tuple[list[list[int]], bool]:
@@ -125,12 +120,14 @@ def enumerate_sequences(g: LexGraph, limit: int) -> tuple[list[list[int]], bool]
 
 
 def count_sequences(g: LexGraph) -> int:
-    """The number of maximal paths, by a DP over token ids in descending
-    order: a successor's id is always larger than its predecessor's."""
-    paths = [0] * len(g.tokens)
+    """The number of maximal paths, in O(T log T) with no term per edge.  With
+    ``suffix[i]`` the paths from tokens ``i, i+1, ...``, token ``i`` has 1 when
+    its window is empty, else ``suffix[lo] - suffix[hi]``: successor ids are larger."""
+    suffix = [0] * (len(g.tokens) + 1)
     for i in reversed(range(len(g.tokens))):
-        paths[i] = sum(paths[j] for j in g.following[i]) if g.following[i] else 1
-    return sum(paths[s] for s in g.start_set)
+        lo, hi = g.window(g.tokens[i].end)
+        suffix[i] = suffix[i + 1] + (suffix[lo] - suffix[hi] if lo < hi else 1)
+    return suffix[0] - suffix[g.window(-1)[1]]
 
 
 def _dot_escape(s: str) -> str:
@@ -140,13 +137,13 @@ def _dot_escape(s: str) -> str:
 def to_dot(g: LexGraph) -> str:
     """Render the graph as a DOT digraph; start-set tokens are double-circled."""
     lines = ["digraph lexgraph {", "  rankdir=LR;"]
-    starts = set(g.start_set)
+    sources = g.window(-1)[1]  # the start set is the ids below it
     for t in g.tokens:
         label = _dot_escape(f"{t.type_name}\n{_json_string(t.text)}@{t.start}-{t.end}")
-        shape = ", shape=doublecircle" if t.id in starts else ""
+        shape = ", shape=doublecircle" if t.id < sources else ""
         lines.append(f'  n{t.id} [label="{label}"{shape}];')
     for t in g.tokens:
-        for b in g.following[t.id]:
+        for b in range(*g.window(t.end)):
             lines.append(f"  n{t.id} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

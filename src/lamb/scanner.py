@@ -82,7 +82,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     precedence), with ids assigned sequentially from 0.  Characters nothing
     matches are simply passed over; `uncovered_spans` reports them.
     """
-    matchers = spec.matchers  # matcher k's (definition, ignored, moved, kept), in precedence order
+    matchers = spec.matchers  # matcher k's (definition, ignored, moved), in precedence order
     automaton = spec.automaton
     step = automaton.step
     classes = automaton.classes(text)  # walks read classes; token texts slice ``text``
@@ -154,10 +154,10 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
         if earlier is not None:
             for stretch, _ in earlier:
                 matched |= stretch
-        # Lowest bit first is precedence order.  What a match drags leaves live, and so matched.
+        # Lowest bit first is precedence order.  What a match drags, its ``moved``, leaves live, and so matched.
         while matched:
             bit = matched & -matched
-            d, skip, moved, kept = matchers[bit.bit_length() - 1]
+            d, skip, moved = matchers[bit.bit_length() - 1]
             last = end - 1
             if earlier is not None and not accepts & bit:  # it accepted last in an earlier stretch
                 last = next(stretch_end for stretch, stretch_end in reversed(earlier) if stretch & bit) - 1
@@ -173,7 +173,7 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                 mark, held = last, moved
             else:  # the top lies inside the match: it is the new watermark
                 held |= moved
-            live &= kept
+            live -= live & moved  # as &= ~moved, without a negative int, which costs more on wide masks
             matched &= live
             if skip:
                 ignored.append((i, last))

@@ -135,16 +135,16 @@ class LexSpec:
     ignore_defs: tuple[IgnoreDef, ...]
 
     @_cached
-    def matchers(self) -> tuple[tuple[TokenDef | IgnoreDef, bool, int, int], ...]:
-        """Matcher ``k``'s row ``(definition, ignored, moved, kept)``, in scanning
+    def matchers(self) -> tuple[tuple[TokenDef | IgnoreDef, bool, int], ...]:
+        """Matcher ``k``'s row ``(definition, ignored, moved)``, in scanning
         order: priority ascending, then definition order; ignored means priority
         0.  A match of ``k`` moves ``k`` past its start and drags along the
         matchers of strictly lower precedence: ``moved`` holds their bits and
-        ``k``'s, and ``kept`` is ``~moved``.  Built by the first `scan`."""
+        ``k``'s.  Built by the first `scan`."""
         defs = sorted([*self.token_defs, *self.ignore_defs], key=lambda d: (d.priority, d.ordinal))
         priorities = [d.priority for d in defs]
-        return tuple((d, not d.priority, moved, ~moved) for k, d in enumerate(defs)
-                     for moved in [1 << k | (1 << len(defs)) - (1 << bisect_right(priorities, d.priority))])
+        return tuple((d, not d.priority, 1 << k | (1 << len(defs)) - (1 << bisect_right(priorities, d.priority)))
+                     for k, d in enumerate(defs))
 
     @_cached
     def automaton(self) -> pattern.Automaton:

@@ -296,7 +296,12 @@ def test_oracle_check_reports_a_divergence(files, capsys, monkeypatch, oracle, c
     ["parse", "--grammar", "{grammar}"],
     ["scan", "--format", "text"],
     ["scan", "--format", "json"],
-], ids=["parse", "scan-text", "scan-json"])
+    ["scan", "--format", "dot"],
+    ["sequences", "--format", "text"],
+    ["sequences", "--format", "json"],
+    ["sequences", "--limit", "1"],  # truncated: the warning counts every sequence
+], ids=["parse", "scan-text", "scan-json", "scan-dot", "sequences-text", "sequences-json",
+        "sequences-count"])
 def test_command_leaves_the_edges_uncomputed(files, capsys, monkeypatch, command):
     graphs = []
     build = lexgraph.build_graph
@@ -312,6 +317,23 @@ def test_command_leaves_the_edges_uncomputed(files, capsys, monkeypatch, command
     [graph] = graphs
     assert not {"following", "start_set"} & vars(graph).keys()
     assert graph.following[0] == (1, 2) and "following" in vars(graph)  # kept once read
+
+
+@pytest.mark.parametrize("fmt, closed", [("text", "reader"), ("json", "reader"), ("json", "descriptor")])
+def test_closed_stdout_is_an_error(files, fmt, closed):
+    # Either the pipe's reader is gone before lamb starts, so every write to
+    # it fails, or file descriptor 1 is closed and Python's sys.stdout is None.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(lamb.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "lamb.cli", "scan", "--format", fmt,
+                               "--spec", files["spec"], "--input", files["input"]],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              preexec_fn=(lambda: os.close(1)) if closed == "descriptor" else None)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "lamb: error: stdout is closed\n")
 
 
 def test_outputs_are_byte_stable(files, capsys):

@@ -190,6 +190,36 @@ def test_count_sequences_matches_enumeration(numbers_graph):
         assert not truncated and count_sequences(graph) == len(paths)
 
 
+def _count_over_oracle(result):
+    """Maximal paths counted edge by edge over `build_graph_oracle`'s lists,
+    with no window read: a successor starts after its predecessor ends, so
+    its id is larger."""
+    following, _, start_set = build_graph_oracle(result)
+    paths = [0] * len(following)
+    for a in reversed(range(len(following))):
+        paths[a] = sum(paths[b] for b in following[a]) if following[a] else 1
+    return sum(paths[s] for s in start_set)
+
+
+def _copies(result, copies):
+    """Each token of ``result`` ``copies`` times, under as many type names,
+    so that runs of tokens share one span: dense windows, one end each."""
+    tokens = tuple(Token(i, f"{t.type_name}.{c}", t.text, t.start, t.end)
+                   for i, (t, c) in enumerate((t, c) for t in result.tokens for c in range(copies)))
+    return ScanResult(tokens, result.input_length, ())
+
+
+def test_count_sequences_matches_a_count_over_the_oracle_edges():
+    rng = random.Random(26)
+    for _ in range(150):
+        result = _copies(support.random_interval_result(rng, max_tokens=12, field=24), rng.randint(1, 4))
+        assert count_sequences(build_graph(result)) == _count_over_oracle(result)
+    # a×n under d definitions /a/: every token follows all d at the offset before, d**n paths.
+    for n, d in ((1, 1), (1, 5), (6, 1), (6, 5), (9, 3)):
+        result = _copies(_intervals([(p, p) for p in range(n)]), d)
+        assert count_sequences(build_graph(result)) == _count_over_oracle(result) == d ** n
+
+
 def test_sequences_limit_and_truncation(numbers_graph):
     paths, truncated = enumerate_sequences(numbers_graph, 2)
     assert len(paths) == 2 and truncated
