@@ -214,6 +214,25 @@ def test_forest_dot(numbers_graph, numbers_grammar):
     assert 'i14 [label="E@0-12"];' in dot
 
 
+def test_forest_dot_draws_a_shared_node_once():
+    # E@2-2 is a child of both E@0-2 and E@2-4: the walk meets it twice.
+    spec = parse_lex_spec("token x 1 /x/\nignore / +/\n")
+    grammar = parse_grammar("E ::= E E | x\n", spec)
+    dot = forest_to_dot(parse(build_graph(scan(spec, "x x x")), grammar))
+    assert dot == (
+        'digraph forest {\n'
+        '  i0 [label="x\\n\\"x\\"@0-0"];\n  i1 [label="x\\n\\"x\\"@2-2"];\n'
+        '  i2 [label="x\\n\\"x\\"@4-4"];\n  i3 [label="E@0-0"];\n  i4 [label="E@2-2"];\n'
+        '  i5 [label="E@0-2"];\n  i6 [label="E@4-4"];\n  i7 [label="E@2-4"];\n'
+        '  i8 [label="E@0-4"];\n'
+        '  i3 -> i0;\n  i4 -> i1;\n  i5 -> i3;\n  i5 -> i4;\n  i6 -> i2;\n  i7 -> i4;\n'
+        '  i7 -> i6;\n'
+        '  i8a0 [shape=point];\n  i8 -> i8a0;\n  i8a0 -> i5;\n  i8a0 -> i6;\n'
+        '  i8a1 [shape=point];\n  i8 -> i8a1;\n  i8a1 -> i3;\n  i8a1 -> i7;\n'
+        '}\n'
+    )
+
+
 def test_parse_matches_brute_force_on_random_cases():
     rng = random.Random(90125)
     for _ in range(30):
