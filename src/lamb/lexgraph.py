@@ -9,7 +9,7 @@ through the following-relation is one possible tokenization of the input.
 A graph holds its tokens, their starts and the suffix minima of their ends,
 and nothing else.  Every query, here and in `parser.parse`, reads a token's
 successors as its `window`, a range of ids.  The edge lists `following` and
-`start_set` exist for ``--oracle-check`` and outside readers.
+`start_set` exist for ``--oracle-check``, outside readers and perfbench.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ import json
 import math
 import sys
 from bisect import bisect_right
-from functools import cached_property
 from itertools import accumulate, islice
 from json.encoder import encode_basestring as _json_string
 
 from .scanner import ScanResult, Token
+from .spec_io import _cached
 
 __all__ = [
     "LexGraph",
@@ -74,18 +74,20 @@ class LexGraph:
         """No token ends before ``start`` or starts after ``end``."""
         return not self.starts or (start <= self.suffix_min_end[0] and end >= self.starts[-1])
 
-    @cached_property
+    @_cached
     def following(self) -> tuple[tuple[int, ...], ...]:
         """Per token id, the ids that follow it: the slice of ids in
         ``window(end)``, one tuple per distinct end.  Computed on first read
-        and kept; only ``--oracle-check`` and outside readers read it."""
+        and kept; only ``--oracle-check`` and outside readers read it.  Kept
+        for perfbench, which reads it by name."""
         ids = tuple(range(len(self.tokens)))
         by_end = {end: ids[slice(*self.window(end))] for end in {t.end for t in self.tokens}}
         return tuple([by_end[t.end] for t in self.tokens])
 
-    @cached_property
+    @_cached
     def start_set(self) -> tuple[int, ...]:
-        """The tokens that follow none, the ids in ``window(-1)``; kept like `following`."""
+        """The tokens that follow none, the ids in ``window(-1)``; cached like
+        `following`, and kept for perfbench, which reads it by name."""
         return tuple(range(self.window(-1)[1]))
 
 
@@ -168,7 +170,9 @@ def to_json(g: LexGraph) -> str:
     names: dict[str, str] = {}  # type name -> its JSON string
     records = []
     for i, name, text, start, end in tokens:
-        lo = bisect_right(starts, end)  # g.window(end), inline
+        # g.window(end), inline: a call per token made to_json 1.07-1.10x
+        # slower on the 65,800 tokens of lex-mixed seed 41, blocks 0-2.
+        lo = bisect_right(starts, end)
         hi = bisect_right(starts, min_end[lo], lo)
         s = ids[i]
         for j in range(lo, hi):
@@ -183,9 +187,19 @@ def to_json(g: LexGraph) -> str:
     # The header and the tail ride on the first and last records, so that the
     # output is joined once.  The start set is the ids in window(-1).
     records[0] = f'{{"input_length":{g.input_length},"tokens":[{records[0]}'
-    records[-1] += f'],"start":[{",".join(ids[:bisect_right(starts, min_end[0])])}]}}'
+    records[-1] += f'],"start":[{",".join(ids[:g.window(-1)[1]])}]}}'
     del ids, preceding  # not held while the join copies the records
     return ",".join(records)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice raises `ValueError`."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
 
 
 def graph_from_json(text: str) -> LexGraph:
@@ -195,12 +209,13 @@ def graph_from_json(text: str) -> LexGraph:
     graph, keys in the same order; only spacing and string escapes may
     differ.  Anything else raises one `ValueError` that names the problem:
     tokens not numbered ``0, 1, ...`` in ascending start order, an input
-    length or a token span that no scan produces, a missing field, a value
-    of the wrong type, or edges or a start set that differ from the rebuilt
-    ones.
+    length or a token span that no scan produces, a missing or repeated
+    field, a value of the wrong type, or edges or a start set that differ from
+    the rebuilt ones.
     """
     try:
-        data = json.loads(text, parse_float=int)  # int() rejects every float literal
+        # int() rejects every float literal.
+        data = json.loads(text, parse_float=int, object_pairs_hook=_unique_keys)
         tokens = tuple(
             Token(rec["id"], rec["type"], rec["text"], rec["start"], rec["end"])
             for rec in data["tokens"]

@@ -96,7 +96,8 @@ class ParseForest:
 
 def extended_follows(a: SymbolInstance, b: SymbolInstance, g: LexGraph) -> bool:
     """True when ``b`` may directly continue ``a``: it starts after ``a`` ends
-    and no terminal token sits strictly between the two."""
+    and no terminal token sits strictly between the two.  `parse` inlines this
+    test; the function is kept for perfbench, which wraps it by name."""
     return a.end < b.start <= g.suffix_min_end[bisect_right(g.starts, a.end)]
 
 
@@ -106,7 +107,8 @@ def match_rule_from(
     """Every way to satisfy ``rule`` starting at ``first`` with instances of
     ``store``, as child-id tuples, depth first.  Each next child is an instance
     of the next body symbol that starts at a token start in the follows window
-    of the previous child; candidates are tried in ``store`` order."""
+    of the previous child; candidates are tried in ``store`` order.  `parse`
+    does not call it; it is kept for perfbench, which wraps it by name."""
     if first.type_name != rule.rhs[0]:
         return []
     starts, window = g.starts, g.window
@@ -226,20 +228,29 @@ def render_trees(f: ParseForest) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def _tree_count(f: ParseForest) -> int:
-    """The number of accepted trees, by a DP over the acyclic forest."""
-    counts: dict[int, int] = {}
+def _reachable(f: ParseForest) -> dict[int, None]:
+    """The node ids reachable from ``f.accepted``, each after its children,
+    as the keys of a dict; one walk of the acyclic forest, without recursion."""
+    order: dict[int, None] = {}
     stack = list(f.accepted)
     while stack:
         nid = stack.pop()
-        if nid in counts:
+        if nid in order:
             continue
-        alternatives = f.instances[nid].alternatives
-        missing = [c for children in alternatives for c in children if c not in counts]
+        missing = [c for children in f.instances[nid].alternatives for c in children if c not in order]
         if missing:
             stack += [nid, *missing]
         else:
-            counts[nid] = sum(prod(map(counts.get, kids)) for kids in alternatives) if alternatives else 1
+            order[nid] = None
+    return order
+
+
+def _tree_count(f: ParseForest) -> int:
+    """The number of accepted trees, by a DP over `_reachable`'s order."""
+    counts: dict[int, int] = {}
+    for nid in _reachable(f):
+        alternatives = f.instances[nid].alternatives
+        counts[nid] = sum(prod(map(counts.get, kids)) for kids in alternatives) if alternatives else 1
     return sum(counts[root] for root in f.accepted)
 
 
@@ -276,23 +287,16 @@ def forest_to_dot(f: ParseForest) -> str:
     """The nodes reachable from accepted nodes as a DOT digraph, parent to
     child.  A node with more than one alternative points to one small vertex
     per alternative, which points to that alternative's children."""
-    reachable: set[int] = set()
-    stack = list(f.accepted)
-    while stack:
-        iid = stack.pop()
-        if iid in reachable:
-            continue
-        reachable.add(iid)
-        stack.extend(c for children in f.instances[iid].alternatives for c in children)
+    reachable = sorted(_reachable(f))
     lines = ["digraph forest {"]
-    for iid in sorted(reachable):
+    for iid in reachable:
         inst = f.instances[iid]
         if inst.alternatives:
             label = f"{inst.type_name}@{inst.start}-{inst.end}"
         else:
             label = f"{inst.type_name}\n{_json_string(inst.text)}@{inst.start}-{inst.end}"
         lines.append(f'  i{iid} [label="{_dot_escape(label)}"];')
-    for iid in sorted(reachable):
+    for iid in reachable:
         alternatives = f.instances[iid].alternatives
         if len(alternatives) == 1:
             lines += (f"  i{iid} -> i{c};" for c in alternatives[0])

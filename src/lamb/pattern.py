@@ -61,8 +61,14 @@ class PatternError(ValueError):
 
     def __init__(self, message: str, source: str, position: int):
         super().__init__(f"{message} in pattern {source!r} at position {position}")
+        self.message = message
         self.source = source
         self.position = position
+
+    def __reduce__(self):
+        # As `ValueError`'s, but rebuilt from the constructor's arguments, not
+        # from ``args``, which hold the formatted text.  pickle and copy use it.
+        return type(self), (self.message, self.source, self.position), self.__dict__
 
 
 def _label_matches(label: tuple, ch: str) -> bool:
@@ -216,7 +222,8 @@ class Pattern:
         """Length of the longest match anchored exactly at ``pos``, or None.
 
         Returns None when nothing (or only the empty string) matches; a
-        reported length is always >= 1.
+        reported length is always >= 1.  `scanner.scan` does not call it; it
+        is kept for perfbench, which wraps it by name.
         """
         n = len(text)
         if not 0 <= pos <= n:

@@ -52,6 +52,8 @@ __all__ = [
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INTEGER = re.compile(r"-?[0-9]+\Z")  # ASCII digits only, unlike int()
 _BLANKS = re.compile(r"[ \t]+")  # the field separator, unlike str.split()
+_REGEX = re.compile(r"/((?:\\.|[^\\/])*)/(.*)", re.S)  # slash, pattern, unescaped slash, tail
+_SLASH = re.compile(r"(\\.)|/", re.S)  # an escape pair, kept as it is, or a slash to escape
 
 
 class SpecError(ValueError):
@@ -61,6 +63,10 @@ class SpecError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
+
+    def __reduce__(self):
+        # As `pattern.PatternError`: rebuilt from the constructor's arguments.
+        return type(self), (self.line, self.message), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,8 @@ class Diagnostic:
 class _cached:
     """A cached property written out by hand: the method runs on first use and
     its result is kept in the instance ``__dict__``, which also works on a
-    frozen dataclass and never takes part in its comparisons.
+    frozen dataclass and never takes part in its comparisons.  Every lazy
+    attribute of lamb uses it, `lexgraph.LexGraph`'s included.
 
     `functools.cached_property` takes a lock and re-checks its cache on every
     first access (Python 3.11), which added about 5% to loading the numbers
@@ -206,20 +213,12 @@ def _take_regex(rest: str, lineno: int) -> str:
     """Extract the pattern between unescaped slashes; the tail may only hold a comment."""
     if not rest.startswith("/"):
         raise SpecError(lineno, "expected /REGEX/")
-    i = 1
-    while i < len(rest):
-        if rest[i] == "\\":
-            i += 2
-            continue
-        if rest[i] == "/":
-            break
-        i += 1
-    if i >= len(rest) or rest[i] != "/":
+    match = _REGEX.match(rest)
+    if match is None:
         raise SpecError(lineno, "unterminated /REGEX/")
-    source = rest[1:i]
+    source, trailer = match[1], match[2].strip(" \t")
     if not source:
         raise SpecError(lineno, "empty pattern")
-    trailer = rest[i + 1:].strip(" \t")
     if trailer and not trailer.startswith("#"):
         raise SpecError(lineno, f"unexpected text after pattern: {trailer!r}")
     return source
@@ -261,17 +260,7 @@ def parse_lex_spec(text: str) -> LexSpec:
 
 
 def _escape_slashes(source: str) -> str:
-    out = []
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\\" and i + 1 < len(source):
-            out.append(source[i:i + 2])
-            i += 2
-            continue
-        out.append("\\/" if ch == "/" else ch)
-        i += 1
-    return "".join(out)
+    return _SLASH.sub(lambda m: m[1] or "\\/", source)
 
 
 def render_lex_spec(spec: LexSpec) -> str:

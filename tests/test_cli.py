@@ -398,22 +398,23 @@ def test_parse_rule_past_the_last_token_exits_2(files, capsys):
 
 def test_text_formats_escape_token_texts(files, capsys):
     # A line break, tab, quote or backslash in a token's text is written as
-    # in a JSON string, so each token stays on one line and reads back.
+    # in a JSON string, so each token stays on one line and reads back.  DEL
+    # and U+0085 need no escape in JSON: they print as they are.
     spec = files["dir"] / "any.lamb"
     spec.write_text("token A 1 /[^x]+/\n", encoding="utf-8")
     grammar = files["dir"] / "any.grammar"
     grammar.write_text("S ::= A\n", encoding="utf-8")
     source = files["dir"] / "any.txt"
-    text = 'a\n\t"\\b'
+    text = 'a\n\t"\\b\x7f\x85'
     source.write_bytes(text.encode("utf-8"))
     assert run(["scan", "--spec", str(spec), "--input", str(source)]) == 0
     out, _ = capsys.readouterr()
-    assert out == '0\tA\t0-5\ta\\n\\t\\"\\\\b\n'
+    assert out == '0\tA\t0-7\ta\\n\\t\\"\\\\b\x7f\x85\n'
     field = out.rstrip("\n").split("\t")[3]
     assert json.loads(f'"{field}"') == text
     assert run(["parse", "--spec", str(spec), "--grammar", str(grammar), "--input", str(source)]) == 0
     out, _ = capsys.readouterr()
-    assert out == 'S [0-5]\n  A "a\\n\\t\\"\\\\b" [0-5]\n'
+    assert out == 'S [0-7]\n  A "a\\n\\t\\"\\\\b\x7f\x85" [0-7]\n'
 
 
 def test_dot_labels_write_token_texts_as_json_strings(files, capsys):

@@ -277,9 +277,12 @@ def _edited(edit):
     lambda graph: '{"input_length":1.0,"tokens":[],"start":[]}',
     lambda graph: "[" * 100_000,
     lambda graph: '{"input_length":-5,"tokens":[],"start":[]}',
+    lambda graph: '{"input_length":5,"input_length":0,"tokens":[],"start":[]}',
+    lambda graph: ('{"input_length":1,"tokens":[{"id":0,"type":"A","type":"B","text":"a",'
+                   '"start":0,"end":0,"preceding":[],"following":[]}],"start":[0]}'),
 ], ids=["tokens-reversed", "ids-plus-100", "following-emptied", "start-edited",
         "missing-field", "tokens-not-a-list", "not-an-object", "float", "nested-too-deep",
-        "negative-length"])
+        "negative-length", "repeated-length", "repeated-type"])
 def test_graph_from_json_rejects_what_to_json_does_not_write(numbers_graph, make):
     with pytest.raises(ValueError, match="^token graph JSON: "):
         graph_from_json(make(numbers_graph))

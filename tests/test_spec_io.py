@@ -94,6 +94,8 @@ def test_spec_fields_are_separated_by_spaces_and_tabs_only(blank):
         ("token A 1\n", 1, "expected"),
         ("frobnicate /a/\n", 1, "unrecognized directive"),
         ("token A 1 /a/\nignore\n", 2, "expected"),
+        ("token A 1 a\n", 1, "expected /REGEX/"),
+        ("token A 1 /a/\nignore a\n", 2, "expected /REGEX/"),
         # a syntax error anywhere is reported before a semantic error
         ("token 9A 1 /a/\ntoken B 1 /b/\ntoken C 1 /c\n", 3, "unterminated"),
         # otherwise the earliest definition wins, ignores included
@@ -117,6 +119,18 @@ def test_spec_errors_carry_line_numbers(text, line, needle):
         parse_lex_spec(text)
     assert excinfo.value.line == line
     assert needle in excinfo.value.message
+
+
+@pytest.mark.parametrize("error", [SpecError(3, "bad token name '9A'"),
+                                   pattern.PatternError("unmatched ')'", "a)", 1)],
+                         ids=["SpecError", "PatternError"])
+@pytest.mark.parametrize("rebuild", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_errors_survive_pickle_and_copy(error, rebuild):
+    # A multiprocessing worker sends its error back pickled: it must rebuild.
+    again = rebuild(error)
+    assert type(again) is type(error) and again is not error
+    assert str(again) == str(error) and again.args == error.args and vars(again) == vars(error)
 
 
 def test_parse_is_deterministic():
