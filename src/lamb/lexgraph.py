@@ -78,8 +78,8 @@ class LexGraph:
     def following(self) -> tuple[tuple[int, ...], ...]:
         """Per token id, the ids that follow it: the slice of ids in
         ``window(end)``, one tuple per distinct end.  Computed on first read
-        and kept; only ``--oracle-check`` and outside readers read it.  Kept
-        for perfbench, which reads it by name."""
+        and kept; in lamb only ``--oracle-check`` reads it.  Kept for
+        perfbench, which reads it by name."""
         ids = tuple(range(len(self.tokens)))
         by_end = {end: ids[slice(*self.window(end))] for end in {t.end for t in self.tokens}}
         return tuple([by_end[t.end] for t in self.tokens])
@@ -136,14 +136,20 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
+def _dot_token_label(t) -> str:
+    """The DOT label of a `Token` or a forest's token node, escaped: its type,
+    then its text as a JSON string and its span.  `to_dot` and
+    `parser.forest_to_dot` both write it."""
+    return _dot_escape(f"{t.type_name}\n{_json_string(t.text)}@{t.start}-{t.end}")
+
+
 def to_dot(g: LexGraph) -> str:
     """Render the graph as a DOT digraph; start-set tokens are double-circled."""
     lines = ["digraph lexgraph {", "  rankdir=LR;"]
     sources = g.window(-1)[1]  # the start set is the ids below it
     for t in g.tokens:
-        label = _dot_escape(f"{t.type_name}\n{_json_string(t.text)}@{t.start}-{t.end}")
         shape = ", shape=doublecircle" if t.id < sources else ""
-        lines.append(f'  n{t.id} [label="{label}"{shape}];')
+        lines.append(f'  n{t.id} [label="{_dot_token_label(t)}"{shape}];')
     for t in g.tokens:
         for b in range(*g.window(t.end)):
             lines.append(f"  n{t.id} -> n{b};")

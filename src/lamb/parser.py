@@ -58,7 +58,7 @@ from json.encoder import encode_basestring as _json_string
 from math import prod
 from typing import NamedTuple
 
-from .lexgraph import LexGraph, _dot_escape
+from .lexgraph import LexGraph, _dot_escape, _dot_token_label
 from .spec_io import Grammar, GrammarRule
 
 __all__ = [
@@ -292,10 +292,10 @@ def forest_to_dot(f: ParseForest) -> str:
     for iid in reachable:
         inst = f.instances[iid]
         if inst.alternatives:
-            label = f"{inst.type_name}@{inst.start}-{inst.end}"
+            label = _dot_escape(f"{inst.type_name}@{inst.start}-{inst.end}")
         else:
-            label = f"{inst.type_name}\n{_json_string(inst.text)}@{inst.start}-{inst.end}"
-        lines.append(f'  i{iid} [label="{_dot_escape(label)}"];')
+            label = _dot_token_label(inst)
+        lines.append(f'  i{iid} [label="{label}"];')
     for iid in reachable:
         alternatives = f.instances[iid].alternatives
         if len(alternatives) == 1:
