@@ -9,8 +9,8 @@ backreferences, no counted repetition.
 A pattern compiles to a small Thompson-style NFA, and `Pattern` is that NFA
 alone.  Its edge labels have one shape, ``(ranges, negated)``: a literal
 ``c`` is ``(((c, c),), False)``, a class keeps its ranges as written, and
-``.`` is `_ANY`.  `union` puts one or more patterns, the matchers, into one
-`Automaton` with one DFA, as RE2's ``Set`` does.  Each DFA state records, as
+``.`` is `_ANY`.  ``Automaton(patterns)`` puts one or more patterns, the
+matchers, into one DFA, as RE2's ``Set`` does.  Each DFA state records, as
 bitmasks, which matchers accept in it and which are alive in it, so one walk
 from the one start state gives the longest match of every matcher it wants,
 keeping only their accepts, and stops where none of them is alive: that is
@@ -18,24 +18,25 @@ how the scanner tries a whole spec.
 
 The automaton's DFA is built lazily by subset construction (Thompson, 1968;
 Cox, "Regular Expression Matching Can Be Simple And Fast", 2007): a DFA state
-is the set of NFA states reachable so far, ε-closure included, and its
-transitions are computed the first time they are needed, then kept.  The
-ε-closure is found when a DFA state is made, by one search over ε-edges, so
-no closure is kept per NFA state and building an automaton stays linear in
-the patterns' size.  Transitions are keyed by character class, as in RE2's
-DFA (Cox, "Regular Expression Matching in the Wild", 2010): the code points
-at which some edge label of the NFA starts or stops holding cut the alphabet
-into classes, two characters of one class satisfy the same labels, and so
-every state moves to the same state on both.  A walk maps its text to
-classes by one ``str.translate``, then costs one dict lookup per character
-once the states it visits exist, and never more than one subset step per
-character, so it stays linear in the remaining input regardless of the
-pattern.  A state holds at most one transition per class, and the patterns
-fix the classes, so one bound suffices: each automaton keeps at most
-``_DFA_CACHE_LIMIT`` states, past which it empties its cache, which only it
-decides, and rebuilds on demand.  Memory so stays bounded on patterns whose
-full DFA is exponential and on inputs of many distinct characters, even for
-an automaton that lives as long as the process.
+is the set of NFA states reachable so far, ε-closure included, and is itself a
+dict, its own transition table, as in RE2: a transition missing from it is
+computed the first time a walk reads it, ``state[c]``, then stored there.  The
+ε-closure is found when a DFA state is made, by one search over ε-edges, so no
+closure is kept per NFA state and building an automaton stays linear in the
+patterns' size.  Transitions are keyed by character class, as in RE2's DFA
+(Cox, "Regular Expression Matching in the Wild", 2010): the code points at
+which some edge label of the NFA starts or stops holding cut the alphabet into
+classes, two characters of one class satisfy the same labels, and so every
+state moves to the same state on both.  A walk maps its text to classes by one
+``str.translate``, then costs one lookup ``state[c]`` per character once the
+states it visits exist, and never more than one subset step per character, so
+it stays linear in the remaining input regardless of the pattern.  A state
+holds at most one transition per class, and the patterns fix the classes, so
+one bound suffices: each automaton keeps at most ``_DFA_CACHE_LIMIT`` states,
+past which it empties its cache, which only it decides, and rebuilds on
+demand.  Memory so stays bounded on patterns whose full DFA is exponential and
+on inputs of many distinct characters, even for an automaton that lives as
+long as the process.
 
 Matching is anchored at the query position, every alternation branch
 competes, and the longest hit wins.  Zero-length matches are never reported.
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-__all__ = ["Automaton", "Pattern", "PatternError", "compile", "union"]
+__all__ = ["Automaton", "Pattern", "PatternError", "compile"]
 
 _ESCAPES = {
     ".": ".", "/": "/", "\\": "\\", "+": "+", "-": "-", "*": "*", "?": "?",
@@ -99,38 +100,53 @@ def _class_bounds(edges) -> list[str]:
     return sorted(bounds)
 
 
-class _DState:
-    """One DFA state: a set of NFA states and its transitions found so far.
+class _DState(dict):
+    """One DFA state: a set of NFA states, and its own transition table.
 
-    ``next`` maps a character class, as `Automaton.classes` writes it, to the
-    state this one moves to on the characters of that class.  Bit ``k`` of
-    ``accepts`` is set when matcher ``k``'s accept state is in the set, and of
-    ``alive`` when matcher ``k`` owns an NFA state of the set; the empty set
-    is the dead state, where both are 0 and every class leads back.  ``id``
-    numbers the states of one automaton in the order they were made, never
-    reusing a number, so a caller can key what it learns of a state by ``id``
-    without keeping the state alive past a flush of the cache.
+    As a dict, it maps a character class, as `Automaton.classes` writes it,
+    to the state this one moves to on the characters of that class.  A class
+    not read before is missing, and ``state[c]`` then computes the move with
+    ``automaton``, stores it and returns it.  Bit ``k`` of ``accepts`` is set
+    when matcher ``k``'s accept state is in the set, and of ``alive`` when
+    matcher ``k`` owns an NFA state of the set; the empty set is the dead
+    state, where both are 0 and every class leads back.  ``id`` numbers the
+    states of one automaton in the order they were made, never reusing a
+    number, so a caller can key what it learns of a state by ``id`` without
+    keeping the state alive past a flush of the cache.  States compare and
+    hash by identity: the DFA has cycles, so comparing by content would
+    recurse.
     """
 
-    __slots__ = ("nfa", "accepts", "alive", "next", "id")
+    __slots__ = ("nfa", "accepts", "alive", "id", "automaton")
 
-    def __init__(self, nfa: frozenset[int], accepts: int, alive: int, id: int):
+    def __init__(self, nfa: frozenset[int], accepts: int, alive: int, id: int, automaton: Automaton):
         self.id = id
         self.nfa = nfa
         self.accepts = accepts
         self.alive = alive
-        self.next: dict[str, _DState] = {}
+        self.automaton = automaton
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __missing__(self, c: str) -> _DState:
+        automaton = self.automaton
+        nxt = self[c] = automaton._subset_step(self, automaton._bounds[ord(c) - 1])
+        return nxt
 
 
 class Automaton:
-    """A DFA built lazily over the Thompson NFAs of one or more matchers; `union` builds it.
+    """A DFA built lazily over the Thompson NFAs of one or more matchers,
+    matcher ``k`` being ``patterns[k]``.
 
     Every walk takes the one start state ``start``, the ε-closure of all the
     matchers' NFA start states, and moves on by the class ``c`` of each
-    character, from `classes`: ``state.next.get(c)``, or `step` where that
-    is not known yet.  ``state.accepts`` masks the matchers whose match ends
-    where the walk stands.  A walk that wants the matchers of a mask ``live``
-    keeps ``accepts & live``, and is over where ``alive & live`` is 0.
+    character, from `classes`, to ``state[c]``, which is computed on the
+    class's first character and kept.  ``state.accepts`` masks the matchers
+    whose match ends where the walk stands.  A walk that wants the matchers
+    of a mask ``live`` keeps ``accepts & live``, and is over where ``alive &
+    live`` is 0.
 
     ``_dfa`` maps each NFA state set to its DFA state: a cache that only
     gains states equal by content to ones it could have built, or is emptied
@@ -142,10 +158,24 @@ class Automaton:
 
     __slots__ = ("_edges", "_eps", "_heads", "_accepting", "_owners", "_dfa", "start", "_bounds", "_made")
 
-    def __init__(self, edges, eps, heads, accepting, owners):
+    def __init__(self, patterns: list[Pattern]):
+        """Matcher ``k`` is ``patterns[k]``, its NFA states numbered after
+        those of ``patterns[:k]``; builds the start state only."""
+        edges: list[tuple] = []
+        eps: list[tuple[int, ...]] = []
+        heads = []
+        accepting = set()
+        owners: list[int] = []
+        for k, p in enumerate(patterns):
+            base = len(edges)
+            edges += [tuple((label, t + base) for label, t in out) for out in p._edges]
+            eps += [tuple(t + base for t in out) for out in p._eps]
+            heads.append(p._start + base)
+            accepting.add(p._accept + base)
+            owners += [1 << k] * len(p._edges)
         self._edges = edges
         self._eps = eps
-        self._heads = heads  # the NFA start state of each matcher
+        self._heads = tuple(heads)  # the NFA start state of each matcher
         self._accepting = accepting  # the NFA accept states, one per matcher
         self._owners = owners  # NFA state -> the bit of its matcher
         self._dfa: dict[frozenset[int], _DState] = {}
@@ -158,16 +188,6 @@ class Automaton:
         bounds = self._bounds
         # A table of the text's own characters lives no longer than the call.
         return text.translate({ord(ch): bisect_right(bounds, ch) for ch in set(text)})
-
-    def step(self, state: _DState, c: str) -> _DState:
-        """The state ``state`` moves to on class ``c``.
-
-        Computed on the class's first character and kept in ``state.next``,
-        which a walk reads first, calling this only on a miss."""
-        nxt = state.next.get(c)
-        if nxt is None:
-            nxt = state.next[c] = self._subset_step(state, self._bounds[ord(c) - 1])
-        return nxt
 
     def _closure(self, seeds: list[int]) -> frozenset[int]:
         """``seeds`` and every NFA state reachable from them over ε-edges."""
@@ -189,7 +209,7 @@ class Automaton:
             accepting, owners = self._accepting, self._owners
             accepts = sum(owners[s] for s in nfa if s in accepting)  # one accept state per matcher
             alive = sum({owners[s] for s in nfa})  # each owner's one bit, once
-            state = self._dfa[nfa] = _DState(nfa, accepts, alive, self._made)
+            state = self._dfa[nfa] = _DState(nfa, accepts, alive, self._made, self)
             self._made += 1
         return state
 
@@ -208,7 +228,7 @@ class Automaton:
 class Pattern:
     """The Thompson NFA of one pattern, immutable: ``_edges[s]`` holds the labelled
     edges ``(label, target)`` out of state ``s`` and ``_eps[s]`` its ε-edge
-    targets.  It is matched by an `Automaton`, which `union` builds."""
+    targets.  It is matched by an `Automaton`."""
 
     __slots__ = ("source", "_edges", "_eps", "_start", "_accept")
 
@@ -228,34 +248,16 @@ class Pattern:
         n = len(text)
         if not 0 <= pos <= n:
             raise ValueError(f"position {pos} outside input of length {n}")
-        automaton = union([self])
+        automaton = Automaton([self])
         state = automaton.start
         longest = None
         for length, c in enumerate(automaton.classes(text[pos:]), 1):
-            state = automaton.step(state, c)
+            state = state[c]
             if not state.alive:
                 break
             if state.accepts:
                 longest = length
         return longest
-
-
-def union(patterns: list[Pattern]) -> Automaton:
-    """One automaton whose matcher ``k`` is ``patterns[k]``, its NFA states
-    numbered after those of ``patterns[:k]``; builds its start state only."""
-    edges: list[tuple] = []
-    eps: list[tuple[int, ...]] = []
-    heads = []
-    accepting = set()
-    owners: list[int] = []
-    for k, p in enumerate(patterns):
-        base = len(edges)
-        edges += [tuple((label, t + base) for label, t in out) for out in p._edges]
-        eps += [tuple(t + base for t in out) for out in p._eps]
-        heads.append(p._start + base)
-        accepting.add(p._accept + base)
-        owners += [1 << k] * len(p._edges)
-    return Automaton(edges, eps, tuple(heads), accepting, owners)
 
 
 class _Compiler:

@@ -21,9 +21,9 @@ The spec keeps, per matcher, its definition and what a match of it drags
 (`LexSpec.matchers`), so a scan builds nothing per call but the class string.
 The matching itself is one walk per position over the DFA states of the spec's
 automaton (`LexSpec.automaton`; both are built by the first scan), stepped
-through inline: from the one start state, one ``next`` lookup per character,
-keyed by its class in the text's `Automaton.classes`, and `Automaton.step`
-only where a transition is not known yet.  Every set of matchers is one
+through inline: from the one start state, one lookup ``state[c]`` per
+character, ``c`` being its class in the text's `Automaton.classes`; the
+lookup fills in a transition not known yet.  Every set of matchers is one
 bitmask.  The walk keeps only the accepts of live matchers, those whose
 watermark is below the position, and notes where each accepts; it stops
 where no live matcher is alive.  The rules above run over those ends.
@@ -84,7 +84,6 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
     """
     matchers = spec.matchers  # matcher k's (definition, ignored, moved), in precedence order
     automaton = spec.automaton
-    step = automaton.step
     classes = automaton.classes(text)  # walks read classes; token texts slice ``text``
     tokens: list[Token] = []
     ignored: list[tuple[int, int]] = []
@@ -107,13 +106,9 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
             mark, held, below = below
         elif not live:
             continue
-        state = automaton.start
-        nxt = state.next.get(classes[i])
-        if nxt is None:  # not computed yet
-            nxt = step(state, classes[i])
-        if not nxt.alive & live:
+        state = automaton.start[classes[i]]  # the walk holds no start state
+        if not state.alive & live:
             continue  # no live matcher gets past i
-        state = nxt  # the walk holds no start state
         # Walk on from i + 1.  ``accepts`` are the live matchers accepting at
         # ``end``, the latest offset where one does; ``earlier`` keeps the
         # (accepts, end) of earlier stretches, when they differ.
@@ -127,12 +122,9 @@ def scan(spec: LexSpec, text: str) -> ScanResult:
                 if not live & ~failed.get(key, 0):
                     break  # no live matcher accepts beyond j
                 passed.append(key)
-            nxt = state.next.get(classes[j])
-            if nxt is None:
-                nxt = step(state, classes[j])
-            if not nxt.alive & live:
+            state = state[classes[j]]
+            if not state.alive & live:
                 break  # no live matcher accepts beyond j
-            state = nxt
             j += 1
             found = state.accepts & live
             if found:

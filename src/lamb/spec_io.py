@@ -157,7 +157,7 @@ class LexSpec:
     def automaton(self) -> pattern.Automaton:
         """One lazily built DFA over every pattern, matcher ``k`` being the
         definition in ``matchers[k]``.  Built on first use, which is the first `scan`."""
-        return pattern.union([d.compiled for d, *_ in self.matchers])
+        return pattern.Automaton([d.compiled for d, *_ in self.matchers])
 
     __getstate__ = _fields_only
 

@@ -106,9 +106,9 @@ def longest_by_re(source: str, text: str, pos: int) -> int | None:
 def walk_longest(automaton, text: str, pos: int, live: int) -> list[tuple[int, int]]:
     """``(k, length)`` of the longest match at ``pos`` of each matcher ``k`` in
     ``live``, ascending in ``k``: steps ``automaton`` from its start state one
-    character class at a time, through `Automaton.step` alone, until no
-    matcher in ``live`` is alive, and keeps each such matcher's last
-    accepting length.  The text is translated to classes in chunks that
+    character class ``c`` at a time, by ``state[c]`` alone, until no matcher
+    in ``live`` is alive, and keeps each such matcher's last accepting
+    length.  The text is translated to classes in chunks that
     double from 16 characters, so a walk translates at most twice what it
     reads, or 16 characters."""
     state = automaton.start
@@ -116,7 +116,7 @@ def walk_longest(automaton, text: str, pos: int, live: int) -> list[tuple[int, i
     length, chunk = 0, 16
     while pos + length < len(text):
         for c in automaton.classes(text[pos + length:pos + length + chunk]):
-            state = automaton.step(state, c)
+            state = state[c]
             if not state.alive & live:
                 return sorted(lengths.items())
             length += 1

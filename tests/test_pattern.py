@@ -184,7 +184,7 @@ def test_unbalanced_deep_nesting_is_a_pattern_error():
 def test_compile_builds_no_dfa_state():
     p = compile_pattern(r"(-|\+)?[0-9]+\.[0-9]+")
     assert not hasattr(p, "_dfa")  # a pattern is its NFA alone
-    automaton = pattern.union([p])
+    automaton = pattern.Automaton([p])
     assert automaton._dfa == {automaton.start.nfa: automaton.start}
     assert support.walk_longest(automaton, "1.5", 0, 1) == [(0, 3)]
     assert automaton._dfa and automaton._dfa[automaton.start.nfa] is automaton.start
@@ -209,7 +209,7 @@ def test_reused_pattern_agrees_with_nfa_at_every_position(monkeypatch, cache_lim
     for source in (r".+", r"[^ab\n]+", r"(a|é)+b?", r"[α-ω]+|[0-9]+(\.[0-9]+)?",
                    r"[^0-9 a]*(ж|中)", r"(a|ab)(\n|\t)?", r"\n|.\.?"):
         p = compile_pattern(source)
-        automaton = pattern.union([p])
+        automaton = pattern.Automaton([p])
         for pos in range(len(text) + 1):
             assert _longest(automaton, text, pos) == oracles.match_longest_oracle(p, text, pos), (
                 source, pos,
@@ -236,7 +236,7 @@ def test_dfa_cache_is_bounded_and_answers_survive_flushes():
     # The DFA of (a|b)*a(a|b){12} has 2**13 states; a long random ab input
     # visits more of them than the cache keeps.
     p = compile_pattern("(a|b)*a" + "(a|b)" * 12)
-    automaton = pattern.union([p])
+    automaton = pattern.Automaton([p])
     automaton._dfa = cache = _WatchedCache(automaton._dfa)  # the start state stays cached
     rng = random.Random(7)
     text = "".join(rng.choice("ab") for _ in range(12000))
@@ -256,7 +256,7 @@ def test_union_walk_gives_every_live_matchers_longest_match(monkeypatch, cache_l
     rng = random.Random(20261019)
     for _ in range(60):
         patterns = [compile_pattern(support.random_pattern(rng)) for _ in range(rng.randint(1, 5))]
-        automaton = pattern.union(patterns)
+        automaton = pattern.Automaton(patterns)
         text = support.random_input(rng, max_length=30)
         for pos in range(len(text) + 1):
             live = rng.randrange(1, 1 << len(patterns))
@@ -278,7 +278,7 @@ def test_alive_names_the_matchers_that_own_an_nfa_state():
     rng = random.Random(20261023)
     for _ in range(100):
         patterns = [compile_pattern(support.random_pattern(rng)) for _ in range(rng.randint(1, 5))]
-        automaton = pattern.union(patterns)
+        automaton = pattern.Automaton(patterns)
         text = support.random_input(rng, max_length=20)
         current = [oracles._eps_closure(p, {p._start}) for p in patterns]
         state = automaton.start
@@ -286,7 +286,7 @@ def test_alive_names_the_matchers_that_own_an_nfa_state():
             assert state.alive == sum(1 << k for k, states in enumerate(current) if states), (patterns, text)
             assert state.accepts == sum(1 << k for k, (p, states) in enumerate(zip(patterns, current))
                                         if p._accept in states), (patterns, text)
-            state = automaton.step(state, c)
+            state = state[c]
             current = [oracles._eps_closure(p, {t for s in states for label, t in p._edges[s]
                                                 if oracles._label_matches(label, ch)})
                        for p, states in zip(patterns, current)]
@@ -294,8 +294,20 @@ def test_alive_names_the_matchers_that_own_an_nfa_state():
                 assert not any(current), (patterns, text)
                 # The empty set is one interned state, the dead state, and steps to itself.
                 assert state.accepts == 0 and automaton._dfa[frozenset()] is state
-                assert automaton.step(state, c) is state
+                assert state[c] is state
                 break
+
+
+def test_dfa_states_compare_and_hash_by_identity():
+    # Compared by content, as dicts are, two states with equal transitions
+    # would be equal, and two that lead to each other would recurse without end.
+    automaton = pattern.Automaton([compile_pattern("a")])
+    s, t, u, v = (pattern._DState(frozenset(), 0, 0, k, automaton) for k in range(4))
+    s["\x01"] = t["\x01"] = s
+    u["\x01"], v["\x01"] = v, u
+    for a, b in ((s, t), (u, v)):
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2 and {a: 0}[a] == 0
 
 
 @pytest.mark.parametrize("cache_limit", [pattern._DFA_CACHE_LIMIT, 2])
@@ -306,7 +318,7 @@ def test_union_agrees_with_nfa_on_character_class_boundaries(monkeypatch, cache_
         sources = [rng.choice(support.EDGE_SOURCES) if rng.random() < 0.4 else support.random_pattern(rng)
                    for _ in range(rng.randint(1, 4))]
         patterns = [compile_pattern(source) for source in sources]
-        automaton = pattern.union(patterns)
+        automaton = pattern.Automaton(patterns)
         alphabet = support.boundary_characters(patterns)
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         for pos in range(len(text) + 1):

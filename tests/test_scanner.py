@@ -283,7 +283,7 @@ def test_automaton_stays_bounded_on_many_distinct_characters():
     assert scan(spec, text) == scan_oracle(spec, text)
     automaton = spec.automaton
     assert len(automaton._dfa) <= pattern._DFA_CACHE_LIMIT
-    assert all(len(s.next) <= len(automaton._bounds) + 1 for s in automaton._dfa.values())
+    assert all(len(s) <= len(automaton._bounds) + 1 for s in automaton._dfa.values())
 
 
 def test_one_long_scan_keeps_the_dfa_bounded_across_flushes(monkeypatch):
@@ -297,23 +297,18 @@ def test_one_long_scan_keeps_the_dfa_bounded_across_flushes(monkeypatch):
     stale_reads = []  # (state made after flush g, read after flush f) with g < f - 1
     made = weakref.WeakSet()
 
-    class WatchedNext(dict):
-        """A state's transitions, recording each read of a state made before the flush before last."""
-
-        def __init__(self, made_after):
-            super().__init__()
-            self.made_after = made_after
-
-        def get(self, ch, default=None):
-            if self.made_after < flushes - 1:
-                stale_reads.append((self.made_after, flushes))
-            return super().get(ch, default)
-
     class WatchedState(pattern._DState):
+        """A DFA state, recording each read of it once it was made before the flush before last."""
+
         def __init__(self, *args):
             super().__init__(*args)
-            self.next = WatchedNext(flushes)
+            self.made_after = flushes
             made.add(self)
+
+        def __getitem__(self, c):
+            if self.made_after < flushes - 1:
+                stale_reads.append((self.made_after, flushes))
+            return super().__getitem__(c)
 
     clear = pattern.Automaton._clear
 
@@ -403,24 +398,18 @@ def test_a_walk_stops_where_no_live_matcher_is_alive(monkeypatch):
     # though IDENTIFIER is still alive in the state it reaches.
     reads = 0
 
-    class CountedNext(dict):
-        def get(self, c, default=None):
+    class CountedState(pattern._DState):
+        def __getitem__(self, c):
             nonlocal reads
             reads += 1
-            return super().get(c, default)
-
-    class CountedState(pattern._DState):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.next = CountedNext()
+            return super().__getitem__(c)
 
     monkeypatch.setattr(pattern, "_DState", CountedState)
     spec = parse_lex_spec(support.RESERVED_SPEC_SHARED)
     n = 1000
     text = "w" + "h" * (n - 1)
     assert _tuples(scan(spec, text)) == [(0, "IDENTIFIER", text, 0, n - 1)]
-    misses = sum(len(s.next) for s in spec.automaton._dfa.values())  # `step` reads ``next`` once more on each
-    assert reads == n + (n - 1) + misses, (reads, misses)
+    assert reads == n + (n - 1), reads
 
 
 def test_automaton_is_built_by_the_first_scan_and_kept():
