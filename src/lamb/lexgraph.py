@@ -21,7 +21,7 @@ from bisect import bisect_right
 from itertools import accumulate, islice
 from json.encoder import encode_basestring as _json_string
 
-from .scanner import ScanResult, Token
+from .scanner import ScanResult, Token, _escape_line_breaks
 from .spec_io import _cached
 
 __all__ = [
@@ -140,7 +140,7 @@ def _dot_token_label(t) -> str:
     """The DOT label of a `Token` or a forest's token node, escaped: its type,
     then its text as a JSON string and its span.  `to_dot` and
     `parser.forest_to_dot` both write it."""
-    return _dot_escape(f"{t.type_name}\n{_json_string(t.text)}@{t.start}-{t.end}")
+    return _dot_escape(_escape_line_breaks(f"{t.type_name}\n{_json_string(t.text)}@{t.start}-{t.end}"))
 
 
 def to_dot(g: LexGraph) -> str:

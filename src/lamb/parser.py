@@ -59,6 +59,7 @@ from math import prod
 from typing import NamedTuple
 
 from .lexgraph import LexGraph, _dot_escape, _dot_token_label
+from .scanner import _escape_line_breaks
 from .spec_io import Grammar, GrammarRule
 
 __all__ = [
@@ -193,7 +194,8 @@ def render_trees(f: ParseForest) -> str:
     Roots come in id order.  A tree picks one alternative at each nonterminal
     it prints; the trees of one root come in lexicographic order of their
     picks, taken in print order, so the first nonterminal varies slowest.  A
-    token's text is written as a JSON string, so one node is one line.
+    token's text is written as a JSON string, with U+0085, U+2028 and U+2029
+    escaped too, so one node is one line, by ``\n`` and by `str.splitlines`.
     """
     nodes = f.instances
     blocks = []
@@ -225,7 +227,7 @@ def render_trees(f: ParseForest) -> str:
             nid, depth, k, todo, line = picks.pop()
             del lines[line:]
             todo = ((nid, depth, k + 1), todo)
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+    return _escape_line_breaks("\n\n".join(blocks) + ("\n" if blocks else ""))
 
 
 def _reachable(f: ParseForest) -> dict[int, None]:

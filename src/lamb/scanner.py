@@ -56,6 +56,18 @@ __all__ = ["ScanResult", "Token", "render_tokens_text", "scan", "uncovered_spans
 
 _MEMO_AFTER = 8  # a walk checks and records its (state, offset) pairs from this many characters on
 
+# JSON leaves U+0085, U+2028 and U+2029 as they are, but `str.splitlines`
+# breaks lines at them, so the text and DOT outputs escape them too.
+_LINE_BREAKS = {0x85: "\\u0085", 0x2028: "\\u2028", 0x2029: "\\u2029"}
+
+
+def _escape_line_breaks(s: str) -> str:
+    """``s`` with U+0085, U+2028 and U+2029 written as JSON escapes.  Only a
+    token's text can hold them, so an output may be escaped whole."""
+    if "\x85" in s or "\u2028" in s or "\u2029" in s:
+        return s.translate(_LINE_BREAKS)
+    return s
+
 
 class Token(NamedTuple):
     id: int
@@ -65,7 +77,7 @@ class Token(NamedTuple):
     end: int    # inclusive
 
     def __str__(self) -> str:
-        return f"{self.type_name} {_json_string(self.text)}@{self.start}-{self.end}"
+        return _escape_line_breaks(f"{self.type_name} {_json_string(self.text)}@{self.start}-{self.end}")
 
 
 @dataclass(frozen=True)
@@ -189,6 +201,7 @@ def uncovered_spans(result: ScanResult) -> list[tuple[int, int]]:
 
 
 def render_tokens_text(result: ScanResult) -> str:
-    """One token per line: ``<id>\\t<TYPE>\\t<start>-<end>\\t<text>``, the text JSON-escaped."""
+    """One token per line: ``<id>\\t<TYPE>\\t<start>-<end>\\t<text>``, the text JSON-escaped,
+    and U+0085, U+2028 and U+2029 too."""
     lines = [f"{t.id}\t{t.type_name}\t{t.start}-{t.end}\t{_json_string(t.text)[1:-1]}" for t in result.tokens]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _escape_line_breaks("\n".join(lines) + ("\n" if lines else ""))

@@ -399,39 +399,46 @@ def test_parse_rule_past_the_last_token_exits_2(files, capsys):
 def test_text_formats_escape_token_texts(files, capsys):
     # A line break, tab, quote or backslash in a token's text is written as
     # in a JSON string, so each token stays on one line and reads back.  DEL
-    # and U+0085 need no escape in JSON: they print as they are.
+    # needs no escape in JSON and prints as it is.  U+0085, U+2028 and U+2029
+    # need none either, but `str.splitlines` breaks lines at them: they are
+    # escaped too.
     spec = files["dir"] / "any.lamb"
     spec.write_text("token A 1 /[^x]+/\n", encoding="utf-8")
     grammar = files["dir"] / "any.grammar"
     grammar.write_text("S ::= A\n", encoding="utf-8")
     source = files["dir"] / "any.txt"
-    text = 'a\n\t"\\b\x7f\x85'
+    text = 'a\n\t"\\b\x7f\x85\u2028\u2029'
     source.write_bytes(text.encode("utf-8"))
     assert run(["scan", "--spec", str(spec), "--input", str(source)]) == 0
     out, _ = capsys.readouterr()
-    assert out == '0\tA\t0-7\ta\\n\\t\\"\\\\b\x7f\x85\n'
+    assert out == '0\tA\t0-9\ta\\n\\t\\"\\\\b\x7f\\u0085\\u2028\\u2029\n'
+    assert out.count("\n") == len(out.splitlines())
     field = out.rstrip("\n").split("\t")[3]
     assert json.loads(f'"{field}"') == text
     assert run(["parse", "--spec", str(spec), "--grammar", str(grammar), "--input", str(source)]) == 0
     out, _ = capsys.readouterr()
-    assert out == 'S [0-7]\n  A "a\\n\\t\\"\\\\b\x7f\x85" [0-7]\n'
+    assert out == 'S [0-9]\n  A "a\\n\\t\\"\\\\b\x7f\\u0085\\u2028\\u2029" [0-9]\n'
+    assert out.count("\n") == len(out.splitlines())
 
 
 def test_dot_labels_write_token_texts_as_json_strings(files, capsys):
-    # In both DOT outputs a token's label holds its text as a JSON string, DOT-escaped.
+    # In both DOT outputs a token's label holds its text as a JSON string,
+    # U+2028 escaped too, then DOT-escaped.
     spec = files["dir"] / "any.lamb"
     spec.write_text("token A 1 /[^x]+/\n", encoding="utf-8")
     grammar = files["dir"] / "any.grammar"
     grammar.write_text("S ::= A\n", encoding="utf-8")
     source = files["dir"] / "any.txt"
-    source.write_bytes('a\n\t"\\b'.encode("utf-8"))
-    label = r'label="A\n\"a\\n\\t\\\"\\\\b\"@0-5"'
+    source.write_bytes('a\n\t"\\b\u2028'.encode("utf-8"))
+    label = r'label="A\n\"a\\n\\t\\\"\\\\b\\u2028\"@0-6"'
     assert run(["scan", "--format", "dot", "--spec", str(spec), "--input", str(source)]) == 0
     out, _ = capsys.readouterr()
     assert f"  n0 [{label}, shape=doublecircle];\n" in out
+    assert out.count("\n") == len(out.splitlines())
     assert run(["parse", "--format", "dot", "--spec", str(spec), "--grammar", str(grammar), "--input", str(source)]) == 0
     out, _ = capsys.readouterr()
     assert f"  i0 [{label}];\n" in out
+    assert out.count("\n") == len(out.splitlines())
 
 
 def test_deeply_nested_pattern_scans(files, capsys):

@@ -436,6 +436,7 @@ def test_token_str_writes_its_text_as_a_json_string():
     # A quote, line break or backslash in the text cannot fake a span or split the line.
     assert str(Token(0, "A", 'a"@0-0\nb\\', 0, 5)) == 'A "a\\"@0-0\\nb\\\\"@0-5'
     assert str(Token(1, "Real", "5.2 é", 1, 5)) == 'Real "5.2 é"@1-5'
+    assert str(Token(2, "A", "a\x85\u2028\u2029", 0, 3)) == 'A "a\\u0085\\u2028\\u2029"@0-3'
 
 
 def test_scan_is_deterministic(numbers_spec):
